@@ -13,12 +13,7 @@ void PiecewiseConstantProfile::add(Time t, double value) {
 }
 
 double PiecewiseConstantProfile::at(Time t) const {
-  TVEG_REQUIRE(!samples_.empty(), "querying an empty profile");
-  auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), t,
-      [](Time value, const Sample& s) { return value < s.t; });
-  if (it == samples_.begin()) return samples_.front().value;
-  return (it - 1)->value;
+  return samples_[segment(t)].value;
 }
 
 std::size_t PiecewiseConstantProfile::segment(Time t) const {

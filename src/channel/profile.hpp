@@ -31,8 +31,11 @@ class PiecewiseConstantProfile {
 
   /// Index of the sample whose value `at(t)` returns (0 for queries before
   /// the first sample). Two times with equal segment index see the same
-  /// value — the memoization key of core::EdWeightCache.
+  /// value — the index into core::Tveg's per-edge memo table.
   std::size_t segment(Time t) const;
+
+  /// Value on segment `k` (k < size()); at(t) == value(segment(t)).
+  double value(std::size_t k) const { return samples_[k].value; }
 
   /// All sample times after the first (the points where the value may
   /// change) — these are the partition breakpoints.

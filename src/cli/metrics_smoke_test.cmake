@@ -42,6 +42,12 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   if(json_err OR dts_builds LESS 1)
     message(FATAL_ERROR "counter tveg.dts.builds missing or zero")
   endif()
+  # The Workbench memoizes both channel views, so the memo counters show.
+  string(JSON memo_entries ERROR_VARIABLE json_err
+         GET "${doc}" metrics counters tveg.cache.entries)
+  if(json_err OR memo_entries LESS 1)
+    message(FATAL_ERROR "counter tveg.cache.entries missing or zero")
+  endif()
 else()
   # Pre-3.19 fallback: textual checks only.
   foreach(phase dts_build aux_graph steiner prune nlp_allocation monte_carlo)

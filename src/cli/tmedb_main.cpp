@@ -53,13 +53,11 @@ const Args::Spec& spec_for(const std::string& cmd) {
        {{"algorithm", "source", "deadline", "seed", "trials", "steiner",
          "level", "threads", "save-schedule", "metrics-out", "faults",
          "solver-budget-ms", "fault-log", "trace-out", "flight-out",
-         "request-budget-ms", "max-inflight", "cache-budget-mb", "stall-ms",
-         "shed-policy"},
+         "request-budget-ms", "max-inflight", "stall-ms", "shed-policy"},
         {"trace", "no-cache"}}},
       {"sweep", {{"source", "from", "to", "step", "seed", "threads",
                   "trace-out", "flight-out", "request-budget-ms",
-                  "max-inflight", "cache-budget-mb", "stall-ms",
-                  "shed-policy"},
+                  "max-inflight", "stall-ms", "shed-policy"},
                  {"no-cache"}}},
       {"evaluate",
        {{"source", "deadline", "trials", "seed", "reliability", "interference"},
@@ -109,15 +107,6 @@ fault::GovernOptions parse_governance(const Args& args) {
   return gov;
 }
 
-/// --cache-budget-mb, converted to the workbench's byte budget.
-std::size_t parse_cache_budget(const Args& args) {
-  const double mb = args.get_num("cache-budget-mb", 0);
-  if (mb < 0)
-    throw UsageError("--cache-budget-mb expects a non-negative number, got " +
-                     args.get("cache-budget-mb", "?"));
-  return static_cast<std::size_t>(mb * 1024.0 * 1024.0);
-}
-
 /// Seeds the pipeline phases so exported phase_totals carry the same keys
 /// for every algorithm, then turns tracing on.
 void enable_observability() {
@@ -142,16 +131,18 @@ void arm_tracing(const Args& args) {
 /// Shared --metrics-out / --trace / --trace-out / --flight-out epilogue.
 void emit_observability(const Args& args) {
   if (args.has("trace")) obs::trace_report(std::cerr);
-  const std::string path = args.get("metrics-out", "");
-  if (!path.empty()) {
-    obs::write_snapshot_file(path);
-    std::cout << "metrics written to: " << path << "\n";
-  }
+  // The trace export syncs tveg.obs.span_drops, so it goes before the
+  // metrics snapshot that reports it.
   const std::string trace_path = args.get("trace-out", "");
   if (!trace_path.empty()) {
     obs::write_chrome_trace_file(trace_path);
     std::cout << "trace written to:   " << trace_path
               << " (load in ui.perfetto.dev)\n";
+  }
+  const std::string path = args.get("metrics-out", "");
+  if (!path.empty()) {
+    obs::write_snapshot_file(path);
+    std::cout << "metrics written to: " << path << "\n";
   }
   if (args.has("flight-out")) {
     // On-demand dump: the file exists even when no crash trigger fired
@@ -177,23 +168,21 @@ int usage() {
       "                  [--faults PLAN] [--solver-budget-ms N]\n"
       "                  [--fault-log FILE]\n"
       "                  [--request-budget-ms N] [--max-inflight K]\n"
-      "                  [--cache-budget-mb M] [--stall-ms N]\n"
-      "                  [--shed-policy degrade|error]\n"
+      "                  [--stall-ms N] [--shed-policy degrade|error]\n"
       "                  [--metrics-out FILE] [--trace]\n"
       "                  [--trace-out FILE] [--flight-out FILE]\n"
       "  tmedb sweep TRACE [--source ID] [--from T0] [--to T1] [--step DT]\n"
       "                  [--threads N] [--no-cache]\n"
       "                  [--request-budget-ms N] [--max-inflight K]\n"
-      "                  [--cache-budget-mb M] [--stall-ms N]\n"
-      "                  [--shed-policy degrade|error]\n"
+      "                  [--stall-ms N] [--shed-policy degrade|error]\n"
       "                  [--trace-out FILE] [--flight-out FILE]\n"
       "  tmedb evaluate TRACE SCHEDULE [--source ID] [--deadline T]\n"
       "                  [--trials K] [--reliability Q] [--interference 1]\n"
       "\n"
       "--metrics-out writes an obs snapshot (JSON, or CSV when FILE ends in\n"
       ".csv); --trace prints the phase tree to stderr.\n"
-      "--trace-out records thread-aware spans (phases, pool tasks,\n"
-      "queue waits, cache fills, MC trials) and writes a Chrome/Perfetto\n"
+      "--trace-out records thread-aware spans (phases, pool tasks, queue\n"
+      "waits, memo fills, MC trials) and writes a Chrome/Perfetto\n"
       "trace_event JSON — open it in ui.perfetto.dev. --flight-out arms the\n"
       "crash-time flight recorder: the last 256 solver events are dumped to\n"
       "FILE on fallback-ladder demotion, deadline expiry or repair\n"
@@ -214,9 +203,7 @@ int usage() {
       "are shed, a watchdog force-cancels a solve that stops polling its\n"
       "budget for the stall window, and exhausted budgets either degrade to\n"
       "a GREED fallback schedule (shed-policy degrade, the default) or\n"
-      "return a structured error (shed-policy error). --cache-budget-mb\n"
-      "bounds the aggregate ED-weight cache footprint; pressure evicts\n"
-      "whole shards and leaves results byte-identical. In sweep output a\n"
+      "return a structured error (shed-policy error). In sweep output a\n"
       "trailing * marks a degraded EEDCB cell, 'shed'/'!' a shed or failed\n"
       "request.\n";
   return 2;
@@ -335,7 +322,6 @@ int cmd_sweep(const Args& args) {
   sim::Workbench::Options bench_options;
   bench_options.threads = parse_threads(args);
   bench_options.use_cache = !args.has("no-cache");
-  bench_options.cache_budget_bytes = parse_cache_budget(args);
   const sim::Workbench bench(trace, sim::paper_radio(), bench_options);
 
   // Under governance flags the EEDCB column runs as one governed batch
@@ -434,14 +420,18 @@ int cmd_run(const Args& args) {
 
   sim::Workbench::Options bench_options;
   const std::string steiner = args.get("steiner", "spt");
-  if (steiner == "greedy") {
+  if (steiner == "spt") {
+    bench_options.steiner_method = core::SteinerMethod::kShortestPath;
+  } else if (steiner == "greedy") {
     bench_options.steiner_method = core::SteinerMethod::kRecursiveGreedy;
     bench_options.steiner_level =
         static_cast<int>(args.get_num("level", 2));
+  } else {
+    throw UsageError("--steiner expects spt or greedy, got '" + steiner +
+                     "'");
   }
   bench_options.threads = parse_threads(args);
   bench_options.use_cache = !args.has("no-cache");
-  bench_options.cache_budget_bytes = parse_cache_budget(args);
   const bool governed = wants_governance(args);
   if (governed && *algorithm != sim::Algorithm::kEedcb)
     throw UsageError(

@@ -4,7 +4,9 @@
 #include <map>
 #include <utility>
 
-#include "core/ed_weight_cache.hpp"
+#include "obs/keys.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
 
@@ -49,26 +51,24 @@ double Tveg::distance(NodeId a, NodeId b, Time t) const {
 std::unique_ptr<channel::EdFunction> Tveg::ed_function(NodeId a, NodeId b,
                                                        Time t) const {
   TVEG_REQUIRE(graph_.adjacent(a, b, t), "pair not adjacent at t");
-  return materialize_ed(edge_of(a, b), t);
+  return materialize_ed(distance_[edge_of(a, b)].at(t));
 }
 
-std::unique_ptr<channel::EdFunction> Tveg::materialize_ed(std::size_t e,
-                                                          Time t) const {
-  TVEG_ASSERT(e < distance_.size());
-  const double d = distance_[e].at(t);
+std::unique_ptr<channel::EdFunction> Tveg::materialize_ed(
+    double distance) const {
   switch (options_.model) {
     case ChannelModel::kStep:
       return std::make_unique<channel::StepEdFunction>(
-          radio_.step_min_cost(d));
+          radio_.step_min_cost(distance));
     case ChannelModel::kRayleigh:
       return std::make_unique<channel::RayleighEdFunction>(
-          radio_.rayleigh_beta(d));
+          radio_.rayleigh_beta(distance));
     case ChannelModel::kNakagami:
       return std::make_unique<channel::NakagamiEdFunction>(
-          options_.nakagami_m, radio_.rayleigh_beta(d));
+          options_.nakagami_m, radio_.rayleigh_beta(distance));
     case ChannelModel::kRician:
       return std::make_unique<channel::RicianEdFunction>(
-          options_.rician_k, radio_.rayleigh_beta(d));
+          options_.rician_k, radio_.rayleigh_beta(distance));
   }
   TVEG_ASSERT_MSG(false, "unknown channel model");
   return nullptr;
@@ -76,23 +76,38 @@ std::unique_ptr<channel::EdFunction> Tveg::materialize_ed(std::size_t e,
 
 double Tveg::failure_probability(NodeId a, NodeId b, Time t, Cost w) const {
   if (!graph_.adjacent(a, b, t)) return 1.0;  // Property 3.1(iii)
-  if (cache_) return cache_->ed(*this, edge_of(a, b), t)->failure_probability(w);
+  if (memoized())
+    return memo_entry(edge_of(a, b), t).ed->failure_probability(w);
   return ed_function(a, b, t)->failure_probability(w);
 }
 
 Cost Tveg::edge_weight(NodeId a, NodeId b, Time t) const {
   if (!graph_.adjacent(a, b, t)) return kInf;
-  if (cache_) return cache_->edge_weight(*this, edge_of(a, b), t);
+  if (memoized()) return memo_entry(edge_of(a, b), t).weight;
   return ed_function(a, b, t)->min_cost_for(radio_.epsilon);
 }
 
-std::size_t Tveg::distance_segment(std::size_t e, Time t) const {
-  TVEG_ASSERT(e < distance_.size());
-  return distance_[e].segment(t);
-}
-
-void Tveg::attach_cache(std::shared_ptr<EdWeightCache> cache) {
-  cache_ = std::move(cache);
+void Tveg::memoize() {
+  if (memoized()) return;
+  obs::ScopedSpan span("ed_memo_fill");
+  memo_offset_.reserve(distance_.size());
+  for (const channel::PiecewiseConstantProfile& profile : distance_) {
+    memo_offset_.push_back(memo_.size());
+    // Segment k holds the profile's k-th sample value, exactly what at(t)
+    // returns for every t in the segment — so each entry is the one the
+    // memo-free path would materialize there.
+    for (std::size_t k = 0; k < profile.size(); ++k) {
+      MemoEntry entry;
+      entry.ed = materialize_ed(profile.value(k));
+      entry.weight = entry.ed->min_cost_for(radio_.epsilon);
+      memo_.push_back(std::move(entry));
+    }
+  }
+  auto& registry = obs::MetricsRegistry::global();
+  static obs::Counter& builds = registry.counter(obs::keys::kCacheBuilds);
+  static obs::Counter& entries = registry.counter(obs::keys::kCacheEntries);
+  builds.add(1);
+  entries.add(memo_.size());
 }
 
 std::vector<DcsEntry> Tveg::discrete_cost_set(NodeId i, Time t) const {

@@ -4,7 +4,8 @@
 // per-time energy-demand functions derived from a channel model and a
 // piecewise-constant distance profile: the cost function ψ of Def. 3.2 is
 // realized by materializing the ED-function of edge e at time t on demand
-// from (model, radio params, distance(e, t)).
+// from (model, radio params, distance(e, t)), or by reading it from the
+// memo table that memoize() fills once.
 #pragma once
 
 #include <memory>
@@ -18,8 +19,6 @@
 #include "tvg/time_varying_graph.hpp"
 
 namespace tveg::core {
-
-class EdWeightCache;
 
 /// One entry of a node's discrete cost set (Prop. 6.1): informing `neighbor`
 /// from this node at the query time requires at least `cost`.
@@ -85,41 +84,43 @@ class Tveg {
   /// breakpoints (Sec. V).
   DiscreteTimeSet build_dts(DtsOptions options = {}) const;
 
-  /// Attaches (or, with nullptr, detaches) a memoization cache. Every
-  /// subsequent edge_weight / failure_probability / discrete_cost_set query
-  /// is served from the cache; results are bit-identical to the uncached
-  /// path (tests/diff pins this). The cache may be shared between Tvegs
-  /// built from the same trace/radio/options (e.g. step and fading views
-  /// must NOT share one — their ED-functions differ). Not safe to call
-  /// concurrently with queries; attach before solving.
-  void attach_cache(std::shared_ptr<EdWeightCache> cache);
-  const EdWeightCache* cache() const { return cache_.get(); }
-
-  /// Materializes the ED-function of edge `e` at time `t` directly from the
-  /// distance profile, bypassing the cache and the adjacency check — the
-  /// filler the cache itself uses.
-  std::unique_ptr<channel::EdFunction> materialize_ed(std::size_t e,
-                                                      Time t) const;
-
-  /// Distance-profile segment index of edge `e` at `t` — the memoization
-  /// key component: the channel is constant within one segment.
-  std::size_t distance_segment(std::size_t e, Time t) const;
-
-  /// Graph edge id of pair (a, b), or npos when the pair never meets.
-  std::size_t edge_index(NodeId a, NodeId b) const { return edge_of(a, b); }
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// Fills the memo table: one {ED-function, ε-cost weight} entry per
+  /// (edge, distance-profile segment). The channel is constant on a
+  /// segment, so these are all the distinct ED-functions of this TVEG.
+  /// Afterwards edge_weight / failure_probability / discrete_cost_set read
+  /// the table; results are bit-identical to the memo-free path, which
+  /// stays the oracle (tests/diff pins this). The table is immutable once
+  /// filled, so concurrent queries need no lock. Idempotent; must not race
+  /// with queries.
+  void memoize();
+  bool memoized() const { return !memo_offset_.empty(); }
 
  private:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
   std::size_t edge_of(NodeId a, NodeId b) const;  // npos when absent
+  /// The ED-function at `distance` under this TVEG's model and radio — the
+  /// one factory behind both the memo-free queries and the memo fill.
+  std::unique_ptr<channel::EdFunction> materialize_ed(double distance) const;
+
+  struct MemoEntry {
+    std::unique_ptr<const channel::EdFunction> ed;
+    Cost weight = 0;
+  };
+  /// Memo entry of edge `e` at `t`; requires memoized().
+  const MemoEntry& memo_entry(std::size_t e, Time t) const {
+    return memo_[memo_offset_[e] + distance_[e].segment(t)];
+  }
 
   TimeVaryingGraph graph_;
   channel::RadioParams radio_;
   Options options_;
   /// Distance profile per graph edge id.
   std::vector<channel::PiecewiseConstantProfile> distance_;
-  /// Optional memo for ED materialization / edge weights (thread-safe).
-  std::shared_ptr<EdWeightCache> cache_;
+  /// memo_offset_[e] indexes edge e's first segment in memo_; both empty
+  /// until memoize().
+  std::vector<std::size_t> memo_offset_;
+  std::vector<MemoEntry> memo_;
 };
 
 }  // namespace tveg::core

@@ -154,16 +154,15 @@ std::vector<GovernedSolve> solve_many_governed(
       }
       ++attempted;
 
-      // Fresh per-request budget: deadline starts now, the cancel source is
-      // private unless the test seam supplied one, and the shared memory
-      // ledger (when present) rides along into every cache the solve touches.
+      // Fresh per-request budget: deadline starts now, and the cancel source
+      // is private unless the test seam supplied one.
       const support::CancelSource source =
           r < cancels.size() ? cancels[r] : support::CancelSource();
       const support::Deadline deadline =
           options.request_budget_ms < 0
               ? support::Deadline()
               : support::Deadline::after_ms(options.request_budget_ms);
-      const support::Budget budget(deadline, source.token(), options.mem);
+      const support::Budget budget(deadline, source.token());
 
       std::optional<support::Watchdog::Scope> watch;
       if (watchdog.has_value()) watch.emplace(*watchdog, source);

@@ -4,9 +4,9 @@
 // core::solve_many answers a poisoned batch the only way it can: the first
 // request that times out or throws aborts every request behind it. The
 // governed variant isolates requests instead — each one runs under its own
-// support::Budget (deadline + cancel token + shared memory ledger) and
-// returns its own support::Result, so one pathological instance costs the
-// batch exactly one error slot:
+// support::Budget (deadline + cancel token) and returns its own
+// support::Result, so one pathological instance costs the batch exactly one
+// error slot:
 //
 //   * a request that blows its budget triggers the fallback ladder
 //     (shed-to-GREED) or, under ShedPolicy::kError, returns the timeout as
@@ -64,10 +64,6 @@ struct GovernOptions {
   /// poll its budget for this long is force-cancelled. <= 0 disables the
   /// watchdog.
   double stall_ms = -1;
-  /// Optional shared memory ledger, handed to every request's Budget (and
-  /// typically also attached to the TVEG's EdWeightCache) so aggregate
-  /// cache growth across the batch stays bounded. Must outlive the call.
-  support::MemBudget* mem = nullptr;
   /// Scheduler options for the primary attempt (budget/pool fields are
   /// overridden per request).
   core::EedcbOptions eedcb;

@@ -2,10 +2,9 @@
 //
 // A fixed-size lock-free ring that captures the last N solver events —
 // fallback-ladder rung transitions, fault injections, deadline expirations,
-// cache evictions, schedule-repair divergences — so that when something
-// goes sideways (a rung demotes, a budget expires, a repair diverges) the
-// recent history can be dumped and attached to a bug report or replayed
-// against the seed.
+// schedule-repair divergences — so that when something goes sideways (a
+// rung demotes, a budget expires, a repair diverges) the recent history can
+// be dumped and attached to a bug report or replayed against the seed.
 //
 // Hard invariants:
 //  * recording is lock-free and wait-free for writers: one fetch_add on the
@@ -36,7 +35,6 @@ enum class FlightEventKind : std::uint8_t {
   kRungSelected,      ///< a rung produced the result (a = rung, b = covered)
   kDeadlineExpired,   ///< a solve budget ran out (a = rung)
   kFaultInjected,     ///< a fault event entered the trace (a = kind, b = count)
-  kCacheEviction,     ///< an EdWeightCache shard was evicted (a = entries, b = shard)
   kRepairDivergence,  ///< schedule repair detected divergence (a = uncovered)
   kRepairPatched,     ///< repair emitted a patch (a = patch size, b = still uncovered)
   kRungSkipped,       ///< an already-expired rung was short-circuited (a = rung)

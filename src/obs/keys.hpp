@@ -95,13 +95,9 @@ inline constexpr char kNlpAlOuterIterations[] = "tveg.nlp.al.outer_iterations";
 inline constexpr char kNlpAlInnerIterations[] = "tveg.nlp.al.inner_iterations";
 inline constexpr char kNlpAlFinalViolation[] = "tveg.nlp.al.final_violation";
 
-// -- core/ed_weight_cache + memory ledger -----------------------------------
+// -- core/tveg memo table ---------------------------------------------------
 inline constexpr char kCacheBuilds[] = "tveg.cache.builds";
-inline constexpr char kCacheHits[] = "tveg.cache.hits";
-inline constexpr char kCacheMisses[] = "tveg.cache.misses";
-inline constexpr char kCacheEvictions[] = "tveg.cache.evictions";
-inline constexpr char kMemPressureEvictions[] = "tveg.mem.pressure_evictions";
-inline constexpr char kMemCacheBytes[] = "tveg.mem.cache_bytes";
+inline constexpr char kCacheEntries[] = "tveg.cache.entries";
 
 // -- core/solve_many --------------------------------------------------------
 inline constexpr char kBatchSolves[] = "tveg.batch.solves";
@@ -147,11 +143,10 @@ inline constexpr char kGovernStalls[] = "tveg.govern.stalls";
 // use to snake_case and requires it to appear here, and flags entries that
 // no longer correspond to a used kind.
 inline constexpr const char* kFlightEventNames[] = {
-    "solve_start",       "rung_start",      "rung_demoted",
+    "solve_start",       "rung_start",       "rung_demoted",
     "rung_selected",     "deadline_expired", "fault_injected",
-    "cache_eviction",    "repair_divergence", "repair_patched",
-    "rung_skipped",      "stall_detected",  "request_shed",
-    "note",
+    "repair_divergence", "repair_patched",   "rung_skipped",
+    "stall_detected",    "request_shed",     "note",
 };
 
 }  // namespace tveg::obs::keys

@@ -79,36 +79,48 @@ double Histogram::max() const noexcept {
   return max_.load(std::memory_order_relaxed);
 }
 
-double Histogram::quantile(double q) const noexcept {
-  const std::uint64_t n = count();
+Histogram::Buckets Histogram::load_buckets() const noexcept {
+  Buckets b;
+  for (std::size_t i = 0; i < kBuckets; ++i)
+    b[i] = buckets_[i].load(std::memory_order_relaxed);
+  return b;
+}
+
+double Histogram::quantile_of(const Buckets& buckets, double q, double lo,
+                              double hi) noexcept {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : buckets) n += c;
   if (n == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the target sample (1-based), then walk buckets.
   const double rank = q * static_cast<double>(n - 1) + 1.0;
   std::uint64_t seen = 0;
+  double estimate = hi;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = buckets_[i].load(std::memory_order_relaxed);
+    const std::uint64_t c = buckets[i];
     if (c == 0) continue;
     if (static_cast<double>(seen + c) >= rank) {
-      double estimate;
       if (i == 0) {
         estimate = 0.0;  // the <=0 bucket
       } else {
         // Linear interpolation inside the geometric bucket.
-        const double lo = bucket_lower(i);
-        const double hi = bucket_lower(i + 1);
+        const double b_lo = bucket_lower(i);
+        const double b_hi = bucket_lower(i + 1);
         const double frac =
             (rank - static_cast<double>(seen)) / static_cast<double>(c);
-        estimate = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+        estimate = b_lo + (b_hi - b_lo) * std::clamp(frac, 0.0, 1.0);
       }
-      // A racing reset() can momentarily leave min > max; std::clamp with
-      // an inverted range is UB, so only clamp when the bounds are sane.
-      const double lo = min(), hi = max();
-      return lo <= hi ? std::clamp(estimate, lo, hi) : estimate;
+      break;
     }
     seen += c;
   }
-  return max();
+  // A racing reset() can momentarily leave min > max; std::clamp with an
+  // inverted range is UB, so only clamp when the bounds are sane.
+  return lo <= hi ? std::clamp(estimate, lo, hi) : estimate;
+}
+
+double Histogram::quantile(double q) const noexcept {
+  return quantile_of(load_buckets(), q, min(), max());
 }
 
 Histogram::Snapshot Histogram::snapshot() const noexcept {
@@ -118,10 +130,14 @@ Histogram::Snapshot Histogram::snapshot() const noexcept {
   s.sum = sum();
   s.min = min();
   s.max = max();
-  s.p50 = quantile(0.50);
-  s.p90 = quantile(0.90);
-  s.p95 = quantile(0.95);
-  s.p99 = quantile(0.99);
+  // One read of the buckets serves every quantile, each clamped to this
+  // snapshot's own [min, max]: a racing observe() can then never push a
+  // quantile past the max reported beside it.
+  const Buckets buckets = load_buckets();
+  s.p50 = quantile_of(buckets, 0.50, s.min, s.max);
+  s.p90 = quantile_of(buckets, 0.90, s.min, s.max);
+  s.p95 = quantile_of(buckets, 0.95, s.min, s.max);
+  s.p99 = quantile_of(buckets, 0.99, s.min, s.max);
   return s;
 }
 

@@ -102,6 +102,12 @@ class Histogram {
   static std::size_t bucket_index(double x) noexcept;
   static double bucket_lower(std::size_t i) noexcept;
 
+  using Buckets = std::array<std::uint64_t, kBuckets>;
+  Buckets load_buckets() const noexcept;
+  /// q-quantile of one bucket read, clamped to [lo, hi] when lo <= hi.
+  static double quantile_of(const Buckets& buckets, double q, double lo,
+                            double hi) noexcept;
+
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};

@@ -145,6 +145,14 @@ void emit_thread_spans(std::vector<Record> records, std::uint32_t tid,
 }  // namespace
 
 void set_span_tracing(bool on) noexcept {
+  if (on) {
+    // Pin the epoch now: TraceSpan converts its start time only when it
+    // closes, so a lazily set epoch would clamp the first span to zero
+    // length. Registering the drop counter makes a traced run's metrics
+    // report tveg.obs.span_drops even when it stays 0.
+    (void)epoch();
+    (void)drop_counter();
+  }
   g_span_tracing.store(on, std::memory_order_relaxed);
 }
 

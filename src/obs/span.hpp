@@ -32,11 +32,12 @@ class Json;
 
 /// Master switch for span recording. Off by default; independent of
 /// obs::set_enabled (the aggregate phase tree), though the CLI turns both
-/// on for --trace-out.
+/// on for --trace-out. Turning it on pins the tracing epoch.
 void set_span_tracing(bool on) noexcept;
 bool span_tracing() noexcept;
 
-/// Nanoseconds since the process-wide tracing epoch (first use).
+/// Nanoseconds since the process-wide tracing epoch (first use, or when span
+/// tracing is first switched on).
 std::uint64_t now_epoch_ns() noexcept;
 /// Converts an already-taken steady_clock reading to epoch-relative ns.
 std::uint64_t to_epoch_ns(std::chrono::steady_clock::time_point tp) noexcept;

@@ -46,10 +46,6 @@ Workbench::Workbench(const trace::ContactTrace& trace,
 Workbench::Workbench(const trace::ContactTrace& trace,
                      channel::RadioParams radio, Options options)
     : options_(options),
-      cache_budget_(options.cache_budget_bytes > 0
-                        ? std::make_unique<support::MemBudget>(
-                              options.cache_budget_bytes)
-                        : nullptr),
       pool_(options.threads > 0
                 ? std::make_unique<support::ThreadPool>(options.threads)
                 : nullptr),
@@ -64,13 +60,8 @@ Workbench::Workbench(const trace::ContactTrace& trace,
       // Both views share topology and breakpoints, so one DTS serves both.
       dts_(step_->build_dts(options.dts)) {
   if (options.use_cache) {
-    // One cache per channel view — their ED-functions differ, so they must
-    // never share entries. They do share the byte ledger (when bounded), so
-    // the budget governs their aggregate footprint.
-    core::EdWeightCache::Options cache;
-    cache.mem = cache_budget_.get();
-    step_->attach_cache(std::make_shared<core::EdWeightCache>(cache));
-    fading_->attach_cache(std::make_shared<core::EdWeightCache>(cache));
+    step_->memoize();
+    fading_->memoize();
   }
 }
 
@@ -169,7 +160,6 @@ std::vector<fault::GovernedSolve> Workbench::run_many_eedcb_governed(
     const std::vector<core::SolveRequest>& requests,
     fault::GovernOptions options) const {
   options.eedcb = eedcb_options();
-  if (options.mem == nullptr) options.mem = cache_budget_.get();
   return fault::solve_many_governed(*step_, dts_, requests, options);
 }
 

@@ -10,13 +10,11 @@
 #include <vector>
 
 #include "channel/radio.hpp"
-#include "core/ed_weight_cache.hpp"
 #include "core/fr.hpp"
 #include "core/solve_many.hpp"
 #include "core/tveg.hpp"
 #include "fault/govern.hpp"
 #include "sim/monte_carlo.hpp"
-#include "support/mem_budget.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/contact_trace.hpp"
 
@@ -61,14 +59,10 @@ class Workbench {
     /// (the differential-testing oracle). Schedules are byte-identical for
     /// every thread count.
     std::size_t threads = 0;
-    /// Memoize ED-function materialization and edge weights (one
-    /// core::EdWeightCache per channel view). Disabling reproduces the
-    /// memoization-free pipeline bit for bit, only slower.
+    /// Fill both channel views' ED-function memo tables at construction
+    /// (core::Tveg::memoize). Disabling reproduces the memoization-free
+    /// pipeline bit for bit, only slower.
     bool use_cache = true;
-    /// Aggregate byte budget for BOTH views' ED-weight caches, enforced via
-    /// a shared support::MemBudget (pressure evicts whole shards; cached
-    /// results stay bit-identical, only residency changes). 0 = unbounded.
-    std::size_t cache_budget_bytes = 0;
   };
 
   Workbench(const trace::ContactTrace& trace, channel::RadioParams radio,
@@ -110,18 +104,12 @@ class Workbench {
 
   /// Governed EEDCB batch (fault::solve_many_governed): per-request budgets,
   /// isolation, optional watchdog and shedding; the workbench wires its own
-  /// pool, dts options, and cache MemBudget into `options` (its eedcb
-  /// budget/pool fields are overwritten). Un-governed requests produce
+  /// pool and dts options into `options` (its eedcb budget/pool fields are
+  /// overwritten). Un-governed requests produce
   /// schedules byte-identical to run_many_eedcb.
   std::vector<fault::GovernedSolve> run_many_eedcb_governed(
       const std::vector<core::SolveRequest>& requests,
       fault::GovernOptions options = {}) const;
-
-  /// The shared cache ledger (valid when cache_budget_bytes > 0); exposed
-  /// so callers can read tveg.mem occupancy mid-run.
-  const support::MemBudget* cache_budget() const {
-    return cache_budget_ ? cache_budget_.get() : nullptr;
-  }
 
   /// Monte-Carlo delivery of `schedule` under the fading view (Fig. 6(b)).
   DeliveryStats delivery_under_fading(NodeId source,
@@ -132,9 +120,6 @@ class Workbench {
   core::EedcbOptions eedcb_options() const;
 
   Options options_;
-  /// Declared before the Tvegs: their attached caches hold a raw pointer to
-  /// this ledger and must release into it during their own destruction.
-  std::unique_ptr<support::MemBudget> cache_budget_;
   std::unique_ptr<support::ThreadPool> pool_;
   std::unique_ptr<core::Tveg> step_;
   std::unique_ptr<core::Tveg> fading_;

@@ -1,9 +1,8 @@
 // The unified solve budget (resource-governance subsystem, see DESIGN.md).
 //
-// A Budget bundles the three resources a governed solve is accountable to:
+// A Budget bundles the two resources a governed solve is accountable to:
 //   deadline — wall-clock cutoff (throws TimeoutError when blown),
-//   cancel   — cooperative cancellation token (throws CancelledError),
-//   mem      — optional shared byte ledger for cache growth.
+//   cancel   — cooperative cancellation token (throws CancelledError).
 // Solver options carry one Budget instead of a bare Deadline; check() is
 // the combined poll and Budget::Poller the strided variant for hot loops
 // (cancellation is still observed on *every* poll — one relaxed load —
@@ -18,21 +17,17 @@
 
 #include "support/cancel.hpp"
 #include "support/deadline.hpp"
-#include "support/mem_budget.hpp"
 
 namespace tveg::support {
 
-/// Deadline + cancellation + memory ledger, passed by value into solver
-/// options (the MemBudget is shared by pointer; the caller owns it).
+/// Deadline + cancellation, passed by value into solver options.
 struct Budget {
   Deadline deadline;
   CancelToken cancel;
-  MemBudget* mem = nullptr;
 
   Budget() = default;
   Budget(Deadline d) : deadline(d) {}  // NOLINT(implicit)
-  Budget(Deadline d, CancelToken c, MemBudget* m = nullptr)
-      : deadline(d), cancel(std::move(c)), mem(m) {}
+  Budget(Deadline d, CancelToken c) : deadline(d), cancel(std::move(c)) {}
 
   /// True when neither time-limited nor cancellable (the ungoverned
   /// default): pollers can skip work entirely.

@@ -65,8 +65,8 @@ std::string camel_to_snake(const std::string& s) {
 // ---------------------------------------------------------------------------
 
 struct ManifestEntry {
-  std::string name;   ///< constant identifier, e.g. kCacheHits
-  std::string value;  ///< key literal, e.g. tveg.cache.hits
+  std::string name;   ///< constant identifier, e.g. kCacheBuilds
+  std::string value;  ///< key literal, e.g. tveg.cache.builds
   bool prefix = false;
   long line = 0;
 };

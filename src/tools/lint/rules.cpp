@@ -67,7 +67,7 @@ bool rule_applies(const std::string& rule, const std::string& path) {
 
 /// Registered metric subsystems; a key must read tveg.<subsystem>.<name>.
 const char* kMetricKeyPattern =
-    R"(^tveg\.(pool|obs|support|tvg|dts|aux|channel|trace|graph|steiner|nlp|core|eedcb|fr|prune|bip|online|fault|sim|mc|cli|cache|parallel|batch|govern|mem|alloc)\.[a-z0-9_]+(\.[a-z0-9_]+)*$)";
+    R"(^tveg\.(pool|obs|support|tvg|dts|aux|channel|trace|graph|steiner|nlp|core|eedcb|fr|prune|bip|online|fault|sim|mc|cli|cache|parallel|batch|govern|alloc)\.[a-z0-9_]+(\.[a-z0-9_]+)*$)";
 
 void check_metrics_keys(bool honor, const std::string& path,
                         const Views& views,

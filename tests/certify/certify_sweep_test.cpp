@@ -7,10 +7,8 @@
 // so a solver bug and a checker bug would have to agree twice to pass.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "core/ed_weight_cache.hpp"
 #include "core/eedcb.hpp"
 #include "core/fr.hpp"
 #include "core/solve_many.hpp"
@@ -151,7 +149,7 @@ TEST(CertifySweep, SolveManyBatchesCertifyIncludingMulticast) {
     const int nodes = 6;
     const trace::ContactTrace t = random_trace(seed, nodes);
     core::Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    tveg.attach_cache(std::make_shared<core::EdWeightCache>());
+    tveg.memoize();
 
     std::vector<core::SolveRequest> requests;
     for (NodeId s = 0; s < nodes; ++s)

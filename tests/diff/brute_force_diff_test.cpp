@@ -7,11 +7,9 @@
 //    extending the brute-force cross-check to the FR allocation stage.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/brute_force.hpp"
-#include "core/ed_weight_cache.hpp"
 #include "core/eedcb.hpp"
 #include "core/energy_allocation.hpp"
 #include "core/fr.hpp"
@@ -57,7 +55,7 @@ TEST(BruteForceDiff, ExactPipelineMatchesBruteForceOnCachedParallelPath) {
     const trace::ContactTrace t =
         random_trace(seed, 4 + static_cast<int>(seed % 3));
     Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    tveg.attach_cache(std::make_shared<EdWeightCache>());
+    tveg.memoize();
     const TmedbInstance inst{&tveg, 0, 100.0};
 
     const BruteForceResult opt = brute_force_optimal(inst);
@@ -85,7 +83,7 @@ TEST(BruteForceDiff, HeuristicsLowerBoundedByBruteForce) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const trace::ContactTrace t = random_trace(seed, 6);
     Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    tveg.attach_cache(std::make_shared<EdWeightCache>());
+    tveg.memoize();
     const TmedbInstance inst{&tveg, 0, 100.0};
 
     const BruteForceResult opt = brute_force_optimal(inst);
@@ -147,7 +145,7 @@ TEST(BruteForceDiff, FrAllocationLowerBoundedByExhaustiveBackboneSearch) {
     cfg.seed = seed;
     Tveg tveg(trace::generate_snapshots(cfg), unit_radio(),
               {.model = channel::ChannelModel::kRayleigh});
-    tveg.attach_cache(std::make_shared<EdWeightCache>());
+    tveg.memoize();
     const TmedbInstance inst{&tveg, 0, 100.0};
 
     EedcbOptions options;

@@ -3,15 +3,13 @@
 // a pure reordering-free wrapper — schedules BYTE-identical to the
 // ungoverned core::solve_many, transmission lists under exact double
 // equality, same serialized text — across seeded random TVEGs, with and
-// without cache + pool, and with a poisoned request planted mid-batch.
+// without memo + pool, and with a poisoned request planted mid-batch.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/ed_weight_cache.hpp"
 #include "core/eedcb.hpp"
 #include "core/schedule_io.hpp"
 #include "core/solve_many.hpp"
@@ -81,7 +79,7 @@ TEST(GovernedDiff, UnlimitedBudgetsMatchSolveManyByteForByte) {
     const trace::ContactTrace t = random_trace(seed, nodes);
     const Tveg serial(t, unit_radio(), {.model = channel::ChannelModel::kStep});
     Tveg cached(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    cached.attach_cache(std::make_shared<EdWeightCache>());
+    cached.memoize();
 
     const std::vector<SolveRequest> requests = mixed_panel(nodes);
     const auto baseline = solve_many(serial, requests, {});
@@ -145,39 +143,6 @@ TEST(GovernedDiff, PoisonedRequestLeavesEveryOtherScheduleIdentical) {
                        governed[i].outcome.value().schedule, seed);
       ++baseline_index;
     }
-  }
-}
-
-/// A bounded cache (byte pressure evicting whole shards mid-batch) must not
-/// move a single bit of any schedule.
-TEST(GovernedDiff, MemoryPressureEvictionsPreserveSchedules) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const int nodes = 6;
-    const trace::ContactTrace t = random_trace(seed, nodes);
-    const Tveg serial(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    Tveg squeezed(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    support::MemBudget mem(8 * EdWeightCache::kApproxEntryBytes);
-    EdWeightCache::Options cache_opt;
-    cache_opt.mem = &mem;
-    auto cache = std::make_shared<EdWeightCache>(cache_opt);
-    squeezed.attach_cache(cache);
-
-    const std::vector<SolveRequest> requests = mixed_panel(nodes);
-    const auto baseline = solve_many(serial, requests, {});
-
-    fault::GovernOptions options;
-    options.mem = &mem;
-    const auto governed =
-        fault::solve_many_governed(squeezed, requests, options);
-    ASSERT_EQ(governed.size(), requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(governed[i].outcome.ok())
-          << "seed " << seed << " request " << i;
-      expect_identical(baseline[i].schedule,
-                       governed[i].outcome.value().schedule, seed);
-    }
-    // The tiny budget actually bit: shards were evicted under pressure.
-    EXPECT_GT(cache->stats().pressure_evictions, 0u) << "seed " << seed;
   }
 }
 

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/ed_weight_cache.hpp"
 #include "core/eedcb.hpp"
 #include "core/fr.hpp"
 #include "core/schedule_io.hpp"
@@ -75,7 +74,7 @@ TEST(SerialParallelDiff, EedcbByteIdenticalAcross200Instances) {
         random_trace(seed, 5 + static_cast<int>(seed % 4));
     const Tveg serial(t, unit_radio(), {.model = channel::ChannelModel::kStep});
     Tveg parallel(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    parallel.attach_cache(std::make_shared<EdWeightCache>());
+    parallel.memoize();
 
     const Time deadline = (seed % 3 == 0) ? 120.0 : 200.0;
     EedcbOptions serial_opt;
@@ -103,7 +102,7 @@ TEST(SerialParallelDiff, SptAndAblationByteIdentical) {
     const trace::ContactTrace t = random_trace(seed, 6);
     const Tveg serial(t, unit_radio(), {.model = channel::ChannelModel::kStep});
     Tveg parallel(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    parallel.attach_cache(std::make_shared<EdWeightCache>());
+    parallel.memoize();
 
     for (const bool expansion : {true, false}) {
       EedcbOptions serial_opt;
@@ -129,7 +128,7 @@ TEST(SerialParallelDiff, FrEedcbByteIdentical) {
                       {.model = channel::ChannelModel::kRayleigh});
     Tveg parallel(t, unit_radio(),
                   {.model = channel::ChannelModel::kRayleigh});
-    parallel.attach_cache(std::make_shared<EdWeightCache>());
+    parallel.memoize();
 
     EedcbOptions serial_opt;
     EedcbOptions parallel_opt = serial_opt;
@@ -154,7 +153,7 @@ TEST(SerialParallelDiff, SolveManyMatchesPerRequestRuns) {
     const trace::ContactTrace t = random_trace(seed, nodes);
     const Tveg serial(t, unit_radio(), {.model = channel::ChannelModel::kStep});
     Tveg batched(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    batched.attach_cache(std::make_shared<EdWeightCache>());
+    batched.memoize();
 
     std::vector<SolveRequest> requests;
     for (NodeId s = 0; s < nodes; ++s)
@@ -179,12 +178,12 @@ TEST(SerialParallelDiff, SolveManyMatchesPerRequestRuns) {
 }
 
 /// Running the same cached + pooled solve twice must be deterministic run
-/// to run (warm cache vs cold cache included).
+/// to run (both solves read the same memo table).
 TEST(SerialParallelDiff, RepeatedCachedSolvesAreDeterministic) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const trace::ContactTrace t = random_trace(seed, 7);
     Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
-    tveg.attach_cache(std::make_shared<EdWeightCache>());
+    tveg.memoize();
     EedcbOptions opt;
     opt.pool = &pool();
     const auto first = run_eedcb(TmedbInstance{&tveg, 0, 200.0}, opt);

@@ -14,12 +14,10 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/ed_weight_cache.hpp"
 #include "core/eedcb.hpp"
 #include "core/fr.hpp"
 #include "core/schedule_io.hpp"
@@ -125,7 +123,7 @@ trace::ContactTrace golden_trace(std::uint64_t seed, int nodes) {
 
 Tveg make_tveg(const trace::ContactTrace& t, channel::ChannelModel model) {
   Tveg tveg(t, unit_radio(), {.model = model});
-  tveg.attach_cache(std::make_shared<EdWeightCache>());
+  tveg.memoize();
   return tveg;
 }
 

@@ -1,6 +1,6 @@
 // Resource-governance primitives: CancelToken/CancelSource semantics, the
 // unified Budget poll (cancellation wins over timeout), the strided
-// pollers, the MemBudget ledger, and the stall Watchdog.
+// pollers, and the stall Watchdog.
 #include "support/budget.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <string>
 #include <thread>
 
-#include "support/mem_budget.hpp"
 #include "support/watchdog.hpp"
 
 namespace tveg::support {
@@ -114,33 +113,6 @@ TEST(BudgetPoller, ExpiredDeadlineSurfacesWithinOneStride) {
     }
   }
   EXPECT_TRUE(threw);
-}
-
-TEST(MemBudget, LedgerChargesReleasesAndClamps) {
-  MemBudget mem(1000);
-  EXPECT_EQ(mem.limit(), 1000u);
-  EXPECT_EQ(mem.used(), 0u);
-  EXPECT_FALSE(mem.over());
-
-  mem.charge(600);
-  EXPECT_EQ(mem.used(), 600u);
-  EXPECT_FALSE(mem.over());
-  mem.charge(600);
-  EXPECT_TRUE(mem.over());
-
-  mem.release(300);
-  EXPECT_EQ(mem.used(), 900u);
-  EXPECT_FALSE(mem.over());
-  // Over-release (an eviction race) clamps at zero instead of wrapping.
-  mem.release(5000);
-  EXPECT_EQ(mem.used(), 0u);
-}
-
-TEST(MemBudget, UnlimitedLedgerTracksButNeverPressures) {
-  MemBudget mem;
-  mem.charge(1 << 30);
-  EXPECT_FALSE(mem.over());
-  EXPECT_EQ(mem.used(), std::size_t{1} << 30);
 }
 
 TEST(Watchdog, ForceCancelsASolveThatStopsPolling) {
