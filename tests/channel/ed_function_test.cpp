@@ -5,6 +5,8 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 namespace tveg::channel {
 namespace {
@@ -122,24 +124,33 @@ TEST(EdFunction, ModelNames) {
 
 using EdFactory = std::function<std::unique_ptr<EdFunction>()>;
 
-class EdFunctionProperty
-    : public ::testing::TestWithParam<std::pair<const char*, EdFactory>> {};
+struct EdCase {
+  const char* name;
+  EdFactory make;
+};
+
+// GoogleTest prints each parameter into the listed test name; printing the
+// model name keeps those names stable. The default printer would emit the
+// string pointer and the std::function bytes, which move with ASLR.
+void PrintTo(const EdCase& c, std::ostream* os) { *os << c.name; }
+
+class EdFunctionProperty : public ::testing::TestWithParam<EdCase> {};
 
 TEST_P(EdFunctionProperty, VanishesAtHighPower) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   // Property 3.1(i): φ(w) → 0 as w → ∞. The heaviest fading model here
   // (Nakagami m = 1/2) decays like w^{-1/2}, hence the loose threshold.
   EXPECT_LT(f->failure_probability(1e9), 1e-4);
 }
 
 TEST_P(EdFunctionProperty, CertainFailureAtZeroPower) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   // Property 3.1(ii): φ(0) = 1.
   EXPECT_DOUBLE_EQ(f->failure_probability(0.0), 1.0);
 }
 
 TEST_P(EdFunctionProperty, NonIncreasing) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   // Property 3.1(iv).
   double prev = 1.0;
   for (double w = 0.0; w <= 20.0; w += 0.25) {
@@ -152,7 +163,7 @@ TEST_P(EdFunctionProperty, NonIncreasing) {
 }
 
 TEST_P(EdFunctionProperty, MinCostInverseConsistent) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   for (double target : {0.5, 0.1, 0.01}) {
     const Cost w = f->min_cost_for(target);
     ASSERT_TRUE(std::isfinite(w));
@@ -165,31 +176,25 @@ TEST_P(EdFunctionProperty, MinCostInverseConsistent) {
 }
 
 TEST_P(EdFunctionProperty, RejectsNegativeCost) {
-  const auto f = GetParam().second();
+  const auto f = GetParam().make();
   EXPECT_THROW(f->failure_probability(-1.0), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, EdFunctionProperty,
     ::testing::Values(
-        std::pair<const char*, EdFactory>{
-            "step", [] { return std::make_unique<StepEdFunction>(2.0); }},
-        std::pair<const char*, EdFactory>{
-            "rayleigh",
-            [] { return std::make_unique<RayleighEdFunction>(1.5); }},
-        std::pair<const char*, EdFactory>{
-            "nakagami_half",
-            [] { return std::make_unique<NakagamiEdFunction>(0.5, 1.5); }},
-        std::pair<const char*, EdFactory>{
-            "nakagami_3",
-            [] { return std::make_unique<NakagamiEdFunction>(3.0, 1.5); }},
-        std::pair<const char*, EdFactory>{
-            "rician_1",
-            [] { return std::make_unique<RicianEdFunction>(1.0, 1.5); }},
-        std::pair<const char*, EdFactory>{
-            "rician_6",
-            [] { return std::make_unique<RicianEdFunction>(6.0, 1.5); }}),
-    [](const auto& name_info) { return std::string(name_info.param.first); });
+        EdCase{"step", [] { return std::make_unique<StepEdFunction>(2.0); }},
+        EdCase{"rayleigh",
+               [] { return std::make_unique<RayleighEdFunction>(1.5); }},
+        EdCase{"nakagami_half",
+               [] { return std::make_unique<NakagamiEdFunction>(0.5, 1.5); }},
+        EdCase{"nakagami_3",
+               [] { return std::make_unique<NakagamiEdFunction>(3.0, 1.5); }},
+        EdCase{"rician_1",
+               [] { return std::make_unique<RicianEdFunction>(1.0, 1.5); }},
+        EdCase{"rician_6",
+               [] { return std::make_unique<RicianEdFunction>(6.0, 1.5); }}),
+    [](const auto& name_info) { return std::string(name_info.param.name); });
 
 }  // namespace
 }  // namespace tveg::channel
