@@ -192,7 +192,7 @@ void BM_SweepSolveManyBatch(benchmark::State& state) {
   for (auto _ : state) {
     double total = 0;
     for (const auto& r : core::solve_many(tveg, requests, options))
-      total += r.schedule.total_cost();
+      total += r.value().schedule.total_cost();
     benchmark::DoNotOptimize(total);
   }
 }

@@ -22,10 +22,11 @@
 #   ubsan  suite under UndefinedBehaviorSanitizer
 #   tsan   suite under ThreadSanitizer — the ThreadPool / Monte-Carlo /
 #          parallel-solve stress tests provoke the contention TSan needs
-#   soak   resource-governance soak: governed multi-worker sweeps through
-#          the real CLI across budget ladders (including a zero budget that
-#          sheds every request) and both shed policies, plus the
-#          CancelStorm suite re-run on the TSan build
+#   soak   per-request budget soak: multi-worker sweeps through the real
+#          CLI across a budget ladder (including a zero budget that lands
+#          every EEDCB request on GREED) and a zero-budget run that must
+#          report the greed rung, plus the CancelStorm and Govern suites
+#          re-run on the TSan build
 #
 # Usage: scripts/ci.sh [--fast] [--bench]
 #   --fast   plain build + ctest + lint.sh --lint-only (skips obs, the
@@ -146,44 +147,35 @@ PYEOF
 }
 
 drive_soak() {
-  # Governance soak on the plain build: the same trace swept governed under
-  # a ladder of per-request budgets — unlimited, tight, and zero (which must
-  # shed every request yet still exit 0 under the degrade policy) — with a
-  # watchdog armed, under both shed policies.
-  # Then the cancellation-storm suite re-runs on the TSan build, where the
-  # cross-thread cancel/watchdog traffic is instrumented.
+  # Budget soak on the plain build: the same trace swept under a ladder of
+  # per-request budgets — unlimited, tight, and zero (which must degrade
+  # every EEDCB request to GREED yet still exit 0).
+  # Then the cancellation suites re-run on the TSan build, where the
+  # cross-thread cancel traffic is instrumented.
   local build_dir="$1" tsan_dir="$2"
   local tmedb="${build_dir}/src/cli/tmedb"
   local work
   work="$(mktemp -d)"
-  echo "==== [soak] governed sweeps across budget ladders ===="
+  echo "==== [soak] budgeted sweeps across a budget ladder ===="
   "${tmedb}" generate --kind snapshots --nodes 12 --horizon 2000 --seed 7 \
       --out "${work}/soak.trace"
   for budget in -1 50 0; do
     "${tmedb}" sweep "${work}/soak.trace" --from 1000 --to 2000 --step 500 \
-        --threads 4 --request-budget-ms "${budget}" --stall-ms 30000 \
-        --shed-policy degrade > "${work}/sweep-${budget}.out"
+        --threads 4 --request-budget-ms "${budget}" \
+        > "${work}/sweep-${budget}.out"
   done
-  # Zero budget + degrade: every EEDCB cell fell back — the * marker from
-  # the fallback ladder must appear.
+  # Zero budget: every EEDCB cell fell back — the * marker from the
+  # fallback ladder must appear.
   grep -q '\*' "${work}/sweep-0.out" || {
-    echo "zero-budget governed sweep produced no degraded cells"; exit 1; }
-  # Zero budget + error policy: requests fail ('!') instead of degrading,
-  # and the sweep still exits cleanly — isolation, not abort.
-  "${tmedb}" sweep "${work}/soak.trace" --from 1000 --to 2000 --step 500 \
-      --threads 4 --request-budget-ms 0 --shed-policy error \
-      > "${work}/sweep-error.out"
-  grep -q '!' "${work}/sweep-error.out" || {
-    echo "zero-budget error-policy sweep reported no failed requests"; exit 1; }
-  # Admission bound: with one slot, later requests are shed to GREED.
+    echo "zero-budget sweep produced no degraded cells"; exit 1; }
+  # Zero budget on a single run: the one-request batch lands on GREED.
   "${tmedb}" run "${work}/soak.trace" --algorithm EEDCB --deadline 1500 \
-      --threads 4 --max-inflight 1 --request-budget-ms 5000 \
-      > "${work}/run-governed.out"
-  grep -q 'solver rung' "${work}/run-governed.out" || {
-    echo "governed run did not report its solver rung"; exit 1; }
+      --threads 4 --request-budget-ms 0 > "${work}/run-budgeted.out"
+  grep -q 'solver rung: *greed' "${work}/run-budgeted.out" || {
+    echo "zero-budget run did not report the greed rung"; exit 1; }
   rm -rf "${work}"
-  echo "==== [soak] CancelStorm suite on the TSan build ===="
-  ctest --test-dir "${tsan_dir}" --output-on-failure -R 'CancelStorm'
+  echo "==== [soak] CancelStorm + Govern suites on the TSan build ===="
+  ctest --test-dir "${tsan_dir}" --output-on-failure -R 'CancelStorm|Govern'
 }
 
 run_suite "plain" "${REPO_ROOT}/build-ci" -DTVEG_WERROR=ON

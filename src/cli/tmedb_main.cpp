@@ -53,11 +53,10 @@ const Args::Spec& spec_for(const std::string& cmd) {
        {{"algorithm", "source", "deadline", "seed", "trials", "steiner",
          "level", "threads", "save-schedule", "metrics-out", "faults",
          "solver-budget-ms", "fault-log", "trace-out", "flight-out",
-         "request-budget-ms", "max-inflight", "stall-ms", "shed-policy"},
+         "request-budget-ms"},
         {"trace", "no-cache"}}},
       {"sweep", {{"source", "from", "to", "step", "seed", "threads",
-                  "trace-out", "flight-out", "request-budget-ms",
-                  "max-inflight", "stall-ms", "shed-policy"},
+                  "trace-out", "flight-out", "request-budget-ms"},
                  {"no-cache"}}},
       {"evaluate",
        {{"source", "deadline", "trials", "seed", "reliability", "interference"},
@@ -79,32 +78,15 @@ std::size_t parse_threads(const Args& args) {
   return static_cast<std::size_t>(n);
 }
 
-/// True when any flag routing EEDCB solves through the governed batch
-/// (fault::solve_many_governed) is present.
-bool wants_governance(const Args& args) {
-  return args.has("request-budget-ms") || args.has("max-inflight") ||
-         args.has("stall-ms") || args.has("shed-policy");
-}
-
-/// --request-budget-ms / --max-inflight / --stall-ms / --shed-policy.
-fault::GovernOptions parse_governance(const Args& args) {
-  fault::GovernOptions gov;
-  gov.request_budget_ms = args.get_num("request-budget-ms", -1);
-  const double inflight = args.get_num("max-inflight", 0);
-  if (inflight < 0 || inflight > 1e9 || inflight != std::floor(inflight))
-    throw UsageError("--max-inflight expects a non-negative integer, got " +
-                     args.get("max-inflight", "?"));
-  gov.max_inflight = static_cast<std::size_t>(inflight);
-  gov.stall_ms = args.get_num("stall-ms", -1);
-  const std::string policy = args.get("shed-policy", "degrade");
-  if (policy == "degrade")
-    gov.shed_policy = fault::ShedPolicy::kDegrade;
-  else if (policy == "error")
-    gov.shed_policy = fault::ShedPolicy::kError;
-  else
-    throw UsageError("--shed-policy expects degrade or error, got '" + policy +
-                     "'");
-  return gov;
+/// One EEDCB request per --source/--deadline pair, each under
+/// --request-budget-ms when given (unlimited otherwise).
+core::SolveRequest eedcb_request(const Args& args, NodeId source,
+                                 Time deadline) {
+  core::SolveRequest request;
+  request.source = source;
+  request.deadline = deadline;
+  request.time_budget_ms = args.get_num("request-budget-ms", -1);
+  return request;
 }
 
 /// Seeds the pipeline phases so exported phase_totals carry the same keys
@@ -166,15 +148,11 @@ int usage() {
       "                  [--threads N] [--no-cache]\n"
       "                  [--save-schedule FILE]\n"
       "                  [--faults PLAN] [--solver-budget-ms N]\n"
-      "                  [--fault-log FILE]\n"
-      "                  [--request-budget-ms N] [--max-inflight K]\n"
-      "                  [--stall-ms N] [--shed-policy degrade|error]\n"
+      "                  [--fault-log FILE] [--request-budget-ms N]\n"
       "                  [--metrics-out FILE] [--trace]\n"
       "                  [--trace-out FILE] [--flight-out FILE]\n"
       "  tmedb sweep TRACE [--source ID] [--from T0] [--to T1] [--step DT]\n"
-      "                  [--threads N] [--no-cache]\n"
-      "                  [--request-budget-ms N] [--max-inflight K]\n"
-      "                  [--stall-ms N] [--shed-policy degrade|error]\n"
+      "                  [--threads N] [--no-cache] [--request-budget-ms N]\n"
       "                  [--trace-out FILE] [--flight-out FILE]\n"
       "  tmedb evaluate TRACE SCHEDULE [--source ID] [--deadline T]\n"
       "                  [--trials K] [--reliability Q] [--interference 1]\n"
@@ -197,15 +175,11 @@ int usage() {
       "--threads N runs the pipeline's parallel phases on N workers and\n"
       "--no-cache disables ED-function memoization; both leave every\n"
       "schedule byte-identical to the serial uncached solve.\n"
-      "--request-budget-ms, --max-inflight, --stall-ms and --shed-policy\n"
-      "route the EEDCB solves through the governed batch: each request gets\n"
-      "its own deadline + cancel token, requests past the admission bound\n"
-      "are shed, a watchdog force-cancels a solve that stops polling its\n"
-      "budget for the stall window, and exhausted budgets either degrade to\n"
-      "a GREED fallback schedule (shed-policy degrade, the default) or\n"
-      "return a structured error (shed-policy error). In sweep output a\n"
-      "trailing * marks a degraded EEDCB cell, 'shed'/'!' a shed or failed\n"
-      "request.\n";
+      "--request-budget-ms gives each EEDCB request of the batch its own\n"
+      "wall-clock budget, started when the batch reaches it (run: EEDCB\n"
+      "only); a request that exhausts it falls back to a GREED schedule.\n"
+      "In sweep output a trailing * marks such a degraded EEDCB cell and\n"
+      "'!' a failed request.\n";
   return 2;
 }
 
@@ -324,58 +298,41 @@ int cmd_sweep(const Args& args) {
   bench_options.use_cache = !args.has("no-cache");
   const sim::Workbench bench(trace, sim::paper_radio(), bench_options);
 
-  // Under governance flags the EEDCB column runs as one governed batch
-  // (per-deadline requests, isolated budgets); "!" marks a failed request,
-  // "shed" an admission shed, a trailing "*" a degraded (fallback) cell.
-  const bool governed = wants_governance(args);
-  std::vector<std::string> eedcb_col;
+  // The EEDCB column is one batch (one request per deadline) on the
+  // fallback ladder: "!" marks a failed request, a trailing "*" a degraded
+  // (GREED fallback) cell.
   std::vector<core::SolveRequest> requests;
-  if (governed) {
-    for (Time deadline = from; deadline <= to + 1e-9; deadline += step) {
-      core::SolveRequest request;
-      request.source = source;
-      request.deadline = deadline;
-      requests.push_back(request);
-    }
-    const auto solved =
-        bench.run_many_eedcb_governed(requests, parse_governance(args));
-    for (std::size_t i = 0; i < solved.size(); ++i) {
-      const fault::GovernedSolve& g = solved[i];
-      if (!g.outcome.ok()) {
-        eedcb_col.push_back(g.shed ? "shed" : "!");
-        continue;
-      }
-      const core::SchedulerResult& r = g.outcome.value();
-      std::string cell =
-          r.covered_all
-              ? support::Table::fmt(
-                    core::normalized_energy(
-                        bench.step_instance(source, requests[i].deadline),
-                        r.schedule),
-                    1)
-              : "-";
-      if (g.degraded() || g.shed) cell += "*";
-      eedcb_col.push_back(std::move(cell));
-    }
-  }
+  for (Time deadline = from; deadline <= to + 1e-9; deadline += step)
+    requests.push_back(eedcb_request(args, source, deadline));
+  const auto eedcb = fault::robust_solve_many(
+      bench.step(), bench.dts(), requests, bench.eedcb_options());
 
   support::Table table({"deadline_s", "EEDCB", "GREED", "RAND", "FR-EEDCB",
                         "FR-GREED", "FR-RAND"});
-  std::size_t row_index = 0;
-  for (Time deadline = from; deadline <= to + 1e-9; deadline += step) {
-    std::vector<std::string> row{support::Table::fmt(deadline, 0)};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Time deadline = requests[i].deadline;
+    std::string eedcb_cell = "!";
+    if (eedcb[i].ok()) {
+      const fault::RobustSolveResult& r = eedcb[i].value();
+      eedcb_cell = r.result.covered_all
+                       ? support::Table::fmt(
+                             core::normalized_energy(
+                                 bench.step_instance(source, deadline),
+                                 r.result.schedule),
+                             1)
+                       : "-";
+      if (r.degraded()) eedcb_cell += "*";
+    }
+    std::vector<std::string> row{support::Table::fmt(deadline, 0),
+                                 std::move(eedcb_cell)};
     for (sim::Algorithm a : sim::kAllAlgorithms) {
-      if (governed && a == sim::Algorithm::kEedcb) {
-        row.push_back(eedcb_col[row_index]);
-        continue;
-      }
+      if (a == sim::Algorithm::kEedcb) continue;
       const auto outcome = bench.run(a, source, deadline, seed);
       row.push_back(outcome.covered_all && outcome.allocation_feasible
                         ? support::Table::fmt(outcome.normalized_energy, 1)
                         : "-");
     }
     table.add_row(std::move(row));
-    ++row_index;
   }
   table.print(std::cout);
   emit_observability(args);
@@ -432,48 +389,39 @@ int cmd_run(const Args& args) {
   }
   bench_options.threads = parse_threads(args);
   bench_options.use_cache = !args.has("no-cache");
-  const bool governed = wants_governance(args);
-  if (governed && *algorithm != sim::Algorithm::kEedcb)
-    throw UsageError(
-        "governance flags (--request-budget-ms/--max-inflight/--stall-ms/"
-        "--shed-policy) apply to --algorithm EEDCB only");
+  const bool budgeted = args.has("request-budget-ms");
+  if (budgeted && *algorithm != sim::Algorithm::kEedcb)
+    throw UsageError("--request-budget-ms applies to --algorithm EEDCB only");
   const sim::Workbench bench(trace, sim::paper_radio(), bench_options);
 
-  // Solve — through the governed batch when governance flags are present,
-  // under the fallback ladder when a budget was given for an EEDCB-pipeline
-  // algorithm (the other algorithms already are the lower rungs), plainly
-  // otherwise.
+  // Solve — as a one-request batch on the fallback ladder under
+  // --request-budget-ms, under the whole ladder when --solver-budget-ms was
+  // given for an EEDCB-pipeline algorithm (the other algorithms already are
+  // the lower rungs), plainly otherwise.
   sim::Workbench::RunOutcome outcome;
   std::string rung_note;
   std::vector<support::Error> descents;
-  const bool laddered = !governed && budget_ms >= 0 &&
+  const bool laddered = !budgeted && budget_ms >= 0 &&
                         (*algorithm == sim::Algorithm::kEedcb ||
                          *algorithm == sim::Algorithm::kFrEedcb);
-  if (governed) {
-    std::vector<core::SolveRequest> requests(1);
-    requests[0].source = source;
-    requests[0].deadline = deadline;
-    const auto solved =
-        bench.run_many_eedcb_governed(requests, parse_governance(args));
-    const fault::GovernedSolve& g = solved[0];
-    rung_note = fault::rung_name(g.rung);
-    if (g.shed) rung_note += " (admission shed)";
-    descents = g.descents;
-    if (!g.outcome.ok()) {
+  if (budgeted) {
+    const auto solved = fault::robust_solve_many(
+        bench.step(), bench.dts(), {eedcb_request(args, source, deadline)},
+        bench.eedcb_options());
+    if (!solved[0].ok()) {
       std::cout << algo_name << " from node " << source << ", T=" << deadline
                 << " s\n"
-                << "request failed:     " << g.outcome.error().to_string()
-                << "\n"
-                << "solver rung:        " << rung_note << "\n";
-      for (const auto& d : descents)
-        std::cout << "  degraded:         " << d.to_string() << "\n";
+                << "request failed:     " << solved[0].error().to_string()
+                << "\n";
       emit_observability(args);
       return 1;
     }
-    const core::SchedulerResult& r = g.outcome.value();
-    outcome.schedule = r.schedule;
-    outcome.covered_all = r.covered_all;
-    outcome.stats = r.stats;
+    const fault::RobustSolveResult& r = solved[0].value();
+    rung_note = fault::rung_name(r.rung);
+    descents = r.descents;
+    outcome.schedule = r.result.schedule;
+    outcome.covered_all = r.result.covered_all;
+    outcome.stats = r.result.stats;
     outcome.normalized_energy = core::normalized_energy(
         bench.step_instance(source, deadline), outcome.schedule);
   } else if (laddered) {

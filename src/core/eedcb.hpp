@@ -34,12 +34,12 @@ struct EedcbOptions {
   bool power_expansion = true;
   /// Local-improvement post-pass on the extracted schedule (core/prune.hpp).
   bool prune = true;
-  /// Unified solve budget (deadline + cancel token + memory ledger),
-  /// polled between pipeline phases and inside the Steiner search; expiry
-  /// raises support::TimeoutError, a fired token support::CancelledError.
-  /// The fallback ladder (fault/degrade.hpp) catches the former and
-  /// descends to a cheaper scheduler; the governance layer (fault/govern.hpp)
-  /// catches both per request. Implicitly constructible from a bare
+  /// Unified solve budget (deadline + cancel token), polled between
+  /// pipeline phases and inside the Steiner search; expiry raises
+  /// support::TimeoutError, a fired token support::CancelledError. The
+  /// fallback ladder (fault/degrade.hpp) catches the former and descends to
+  /// a cheaper scheduler; solve_many (core/solve_many.hpp) turns both into
+  /// per-request error slots. Implicitly constructible from a bare
   /// Deadline. Default: unlimited, non-cancellable.
   support::Budget budget;
   /// Optional worker pool for aux-graph construction and the Steiner

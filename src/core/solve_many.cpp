@@ -1,14 +1,20 @@
 #include "core/solve_many.hpp"
 
 #include <cstddef>
+#include <exception>
+#include <optional>
 
 #include "core/aux_graph.hpp"
 #include "graph/steiner.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/budget.hpp"
 
 namespace tveg::core {
+
+using support::Error;
+using support::ErrorCode;
 
 TmedbInstance to_instance(const Tveg& tveg, const SolveRequest& request) {
   TmedbInstance instance;
@@ -21,21 +27,36 @@ TmedbInstance to_instance(const Tveg& tveg, const SolveRequest& request) {
   return instance;
 }
 
-std::vector<SchedulerResult> solve_many(const Tveg& tveg,
-                                        const std::vector<SolveRequest>& requests,
-                                        const EedcbOptions& options) {
+namespace {
+
+/// The request's budget: its own deadline (started now) and token where it
+/// sets them, the batch's otherwise.
+support::Budget request_budget(const SolveRequest& request,
+                               const support::Budget& batch) {
+  return support::Budget(
+      request.time_budget_ms < 0
+          ? batch.deadline
+          : support::Deadline::after_ms(request.time_budget_ms),
+      request.cancel.valid() ? request.cancel : batch.cancel);
+}
+
+}  // namespace
+
+std::vector<SolveOutcome> solve_many(const Tveg& tveg,
+                                     const std::vector<SolveRequest>& requests,
+                                     const EedcbOptions& options) {
   // One DTS serves the whole batch: it depends only on the TVEG and the
   // dts options, never on source/deadline/targets.
   const DiscreteTimeSet dts = tveg.build_dts(options.dts);
   return solve_many(tveg, dts, requests, options);
 }
 
-std::vector<SchedulerResult> solve_many(const Tveg& tveg,
-                                        const DiscreteTimeSet& dts,
-                                        const std::vector<SolveRequest>& requests,
-                                        const EedcbOptions& options) {
+std::vector<SolveOutcome> solve_many(const Tveg& tveg,
+                                     const DiscreteTimeSet& dts,
+                                     const std::vector<SolveRequest>& requests,
+                                     const EedcbOptions& options) {
   obs::TraceSpan span("solve_many");
-  std::vector<SchedulerResult> results(requests.size());
+  std::vector<SolveOutcome> results(requests.size(), Error{});
   if (requests.empty()) return results;
 
   // Group request indices by deadline (exact equality — sweeps repeat the
@@ -64,18 +85,34 @@ std::vector<SchedulerResult> solve_many(const Tveg& tveg,
     // One aux graph + solver per deadline; the graph is source-independent
     // (AuxGraph::source_vertex_for) and the solver's Dijkstra-tree cache
     // carries over between requests of the group without changing results.
-    const TmedbInstance first =
-        to_instance(tveg, requests[group.indices.front()]);
-    const AuxGraph aux(first, dts,
-                       {.power_expansion = options.power_expansion,
-                        .pool = options.pool,
-                        .budget = options.budget});
-    graph::SteinerSolver solver(aux.digraph());
+    // Built lazily: the first request to get this far pays for the build
+    // under its own budget, so a failed build is that request's error and
+    // the next request retries it.
+    std::optional<AuxGraph> aux;
+    std::optional<graph::SteinerSolver> solver;
     for (std::size_t r : group.indices) {
       const TmedbInstance instance = to_instance(tveg, requests[r]);
-      results[r] = run_eedcb_on_aux(instance, dts, aux, solver, options);
+      EedcbOptions per = options;
+      per.budget = request_budget(requests[r], options.budget);
+      try {
+        if (aux.has_value()) {
+          ++reused;
+        } else {
+          aux.emplace(instance, dts,
+                      AuxGraph::Options{.power_expansion = per.power_expansion,
+                                        .pool = per.pool,
+                                        .budget = per.budget});
+          solver.emplace(aux->digraph());
+        }
+        results[r] = run_eedcb_on_aux(instance, dts, *aux, *solver, per);
+      } catch (const support::CancelledError& e) {
+        results[r] = Error{ErrorCode::kCancelled, e.what(), -1};
+      } catch (const support::TimeoutError& e) {
+        results[r] = Error{ErrorCode::kTimeout, e.what(), -1};
+      } catch (const std::exception& e) {
+        results[r] = Error{ErrorCode::kInternal, e.what(), -1};
+      }
     }
-    reused += group.indices.size() - 1;
   }
 
   auto& registry = obs::MetricsRegistry::global();

@@ -1,8 +1,10 @@
 #include "fault/degrade.hpp"
 
+#include <cstddef>
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/baselines.hpp"
 #include "core/bip.hpp"
@@ -45,6 +47,8 @@ core::SchedulerResult run_rung(SolverRung rung,
       return core::run_bip(instance, dts, bip);
     }
     case SolverRung::kGreed: {
+      // GREED itself never polls, so the token is read once, up front.
+      budget.cancel.check("greed");
       core::BaselineOptions greed;
       greed.rule = core::BaselineRule::kGreedy;
       return core::run_baseline(instance, dts, greed);
@@ -61,6 +65,12 @@ void count_descent(const Error& error) {
   if (error.code == ErrorCode::kTimeout) timeouts.add(1);
 }
 
+obs::Counter& degraded_counter() {
+  static obs::Counter& degraded =
+      obs::MetricsRegistry::global().counter(obs::keys::kFaultSolveDegraded);
+  return degraded;
+}
+
 }  // namespace
 
 RobustSolveResult robust_solve(const core::TmedbInstance& instance,
@@ -70,8 +80,6 @@ RobustSolveResult robust_solve(const core::TmedbInstance& instance,
   instance.validate();
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& solves = registry.counter(obs::keys::kFaultSolveAttempts);
-  static obs::Counter& degraded_metric =
-      registry.counter(obs::keys::kFaultSolveDegraded);
   solves.add(1);
 
   // One budget for the whole ladder: a rung that burns the clock leaves
@@ -137,7 +145,7 @@ RobustSolveResult robust_solve(const core::TmedbInstance& instance,
         obs::flight_recorder().record(FlightEventKind::kRungSelected,
                                       static_cast<std::uint64_t>(rung),
                                       out.descents.size(), rung_name(rung));
-        if (out.degraded()) degraded_metric.add(1);
+        if (out.degraded()) degraded_counter().add(1);
         return out;
       }
       descent = {ErrorCode::kInfeasible,
@@ -175,6 +183,46 @@ RobustFrResult robust_solve_fr(const core::TmedbInstance& instance,
   out.backbone = robust_solve(instance, dts, options);
   out.allocation =
       core::allocate_energy(instance, out.backbone.result.schedule, alloc);
+  return out;
+}
+
+std::vector<support::Result<RobustSolveResult>> robust_solve_many(
+    const core::Tveg& tveg, const DiscreteTimeSet& dts,
+    const std::vector<core::SolveRequest>& requests,
+    const core::EedcbOptions& options) {
+  std::vector<core::SolveOutcome> solved =
+      core::solve_many(tveg, dts, requests, options);
+  std::vector<support::Result<RobustSolveResult>> out;
+  out.reserve(solved.size());
+  for (std::size_t r = 0; r < solved.size(); ++r) {
+    if (solved[r].ok()) {
+      RobustSolveResult clean;
+      clean.result = std::move(solved[r]).value();
+      out.emplace_back(std::move(clean));
+      continue;
+    }
+    const Error& error = solved[r].error();
+    if (error.code != ErrorCode::kTimeout) {
+      out.emplace_back(error);
+      continue;
+    }
+    count_descent(error);
+    RobustSolveOptions ladder;
+    ladder.start = SolverRung::kGreed;
+    ladder.cancel = requests[r].cancel.valid() ? requests[r].cancel
+                                               : options.budget.cancel;
+    try {
+      RobustSolveResult degraded =
+          robust_solve(core::to_instance(tveg, requests[r]), dts, ladder);
+      degraded.descents.insert(degraded.descents.begin(), error);
+      degraded_counter().add(1);
+      out.emplace_back(std::move(degraded));
+    } catch (const support::CancelledError& e) {
+      out.emplace_back(Error{ErrorCode::kCancelled, e.what(), -1});
+    } catch (const std::exception& e) {
+      out.emplace_back(Error{ErrorCode::kInternal, e.what(), -1});
+    }
+  }
   return out;
 }
 

@@ -20,12 +20,16 @@
 // when an earlier rung failed for it). Results are tagged with the rung
 // that produced them and every descent is counted in the obs registry
 // under tveg.fault.solve.*.
+//
+// robust_solve_many is the batched entry: one core::solve_many batch whose
+// timed-out slots land on the ladder's final rung.
 #pragma once
 
 #include <vector>
 
 #include "core/energy_allocation.hpp"
 #include "core/fr.hpp"
+#include "core/solve_many.hpp"
 #include "support/budget.hpp"
 #include "support/result.hpp"
 #include "tvg/dts.hpp"
@@ -86,5 +90,15 @@ RobustFrResult robust_solve_fr(
     const core::TmedbInstance& instance, const DiscreteTimeSet& dts,
     const RobustSolveOptions& options = {},
     const core::AllocationOptions& allocation_options = {});
+
+/// Batched ladder: solves `requests` with core::solve_many under `options`,
+/// then hands every slot that timed out to robust_solve from GREED with the
+/// request's cancel token. A degraded slot's descents are the timeout
+/// followed by the ladder's own; cancelled and invalid requests keep their
+/// solve_many error. Outcomes are in request order.
+std::vector<support::Result<RobustSolveResult>> robust_solve_many(
+    const core::Tveg& tveg, const DiscreteTimeSet& dts,
+    const std::vector<core::SolveRequest>& requests,
+    const core::EedcbOptions& options = {});
 
 }  // namespace tveg::fault

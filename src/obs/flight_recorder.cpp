@@ -23,8 +23,6 @@ const char* flight_event_kind_name(FlightEventKind kind) {
     case FlightEventKind::kRepairDivergence: return "repair_divergence";
     case FlightEventKind::kRepairPatched: return "repair_patched";
     case FlightEventKind::kRungSkipped: return "rung_skipped";
-    case FlightEventKind::kStallDetected: return "stall_detected";
-    case FlightEventKind::kRequestShed: return "request_shed";
     case FlightEventKind::kNote: return "note";
   }
   return "?";

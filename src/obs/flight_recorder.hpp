@@ -38,8 +38,6 @@ enum class FlightEventKind : std::uint8_t {
   kRepairDivergence,  ///< schedule repair detected divergence (a = uncovered)
   kRepairPatched,     ///< repair emitted a patch (a = patch size, b = still uncovered)
   kRungSkipped,       ///< an already-expired rung was short-circuited (a = rung)
-  kStallDetected,     ///< watchdog saw no budget poll in a stall window (a = handle)
-  kRequestShed,       ///< governance shed a request (a = request, b = policy)
   kNote,              ///< freeform marker (detail string only)
 };
 

@@ -128,15 +128,6 @@ inline constexpr char kFaultRepairPatchTransmissions[] =
 inline constexpr char kFaultRepairNodesRecovered[] =
     "tveg.fault.repair.nodes_recovered";
 
-// -- fault/govern -----------------------------------------------------------
-inline constexpr char kGovernRequests[] = "tveg.govern.requests";
-inline constexpr char kGovernOk[] = "tveg.govern.ok";
-inline constexpr char kGovernDegraded[] = "tveg.govern.degraded";
-inline constexpr char kGovernCancelled[] = "tveg.govern.cancelled";
-inline constexpr char kGovernErrors[] = "tveg.govern.errors";
-inline constexpr char kGovernShed[] = "tveg.govern.shed";
-inline constexpr char kGovernStalls[] = "tveg.govern.stalls";
-
 // -- flight-recorder event names --------------------------------------------
 // Must stay in lockstep with FlightEventKind / flight_event_kind_name
 // (obs/flight_recorder.*): tveg-analyze maps every `FlightEventKind::kX`
@@ -146,7 +137,7 @@ inline constexpr const char* kFlightEventNames[] = {
     "solve_start",       "rung_start",       "rung_demoted",
     "rung_selected",     "deadline_expired", "fault_injected",
     "repair_divergence", "repair_patched",   "rung_skipped",
-    "stall_detected",    "request_shed",     "note",
+    "note",
 };
 
 }  // namespace tveg::obs::keys

@@ -1,5 +1,7 @@
 #include "sim/experiment.hpp"
 
+#include <utility>
+
 #include "support/assert.hpp"
 #include "support/math.hpp"
 
@@ -142,25 +144,18 @@ Workbench::RunOutcome Workbench::run(Algorithm algorithm, NodeId source,
 
 std::vector<Workbench::RunOutcome> Workbench::run_many_eedcb(
     const std::vector<core::SolveRequest>& requests) const {
-  const std::vector<core::SchedulerResult> solved =
+  std::vector<core::SolveOutcome> solved =
       core::solve_many(*step_, dts_, requests, eedcb_options());
   std::vector<RunOutcome> outcomes(solved.size());
   for (std::size_t i = 0; i < solved.size(); ++i) {
-    outcomes[i].schedule = solved[i].schedule;
-    outcomes[i].covered_all = solved[i].covered_all;
-    outcomes[i].stats = solved[i].stats;
+    core::SchedulerResult r = std::move(solved[i]).take_or_throw();
     outcomes[i].normalized_energy = core::normalized_energy(
-        step_instance(requests[i].source, requests[i].deadline),
-        solved[i].schedule);
+        step_instance(requests[i].source, requests[i].deadline), r.schedule);
+    outcomes[i].schedule = std::move(r.schedule);
+    outcomes[i].covered_all = r.covered_all;
+    outcomes[i].stats = r.stats;
   }
   return outcomes;
-}
-
-std::vector<fault::GovernedSolve> Workbench::run_many_eedcb_governed(
-    const std::vector<core::SolveRequest>& requests,
-    fault::GovernOptions options) const {
-  options.eedcb = eedcb_options();
-  return fault::solve_many_governed(*step_, dts_, requests, options);
 }
 
 DeliveryStats Workbench::delivery_under_fading(NodeId source,

@@ -13,7 +13,6 @@
 #include "core/fr.hpp"
 #include "core/solve_many.hpp"
 #include "core/tveg.hpp"
-#include "fault/govern.hpp"
 #include "sim/monte_carlo.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/contact_trace.hpp"
@@ -98,18 +97,15 @@ class Workbench {
   /// Batched EEDCB panel via core::solve_many: one auxiliary graph and
   /// Steiner solver per distinct deadline serve the whole batch. Outcomes
   /// are in request order and byte-identical to per-request
-  /// run(kEedcb, ...) calls.
+  /// run(kEedcb, ...) calls; a failed request throws once the batch is done
+  /// (Result::take_or_throw).
   std::vector<RunOutcome> run_many_eedcb(
       const std::vector<core::SolveRequest>& requests) const;
 
-  /// Governed EEDCB batch (fault::solve_many_governed): per-request budgets,
-  /// isolation, optional watchdog and shedding; the workbench wires its own
-  /// pool and dts options into `options` (its eedcb budget/pool fields are
-  /// overwritten). Un-governed requests produce
-  /// schedules byte-identical to run_many_eedcb.
-  std::vector<fault::GovernedSolve> run_many_eedcb_governed(
-      const std::vector<core::SolveRequest>& requests,
-      fault::GovernOptions options = {}) const;
+  /// The EEDCB options every run from this workbench uses (Steiner method
+  /// and level, dts options, worker pool) — for callers that drive
+  /// core::solve_many or fault::robust_solve_many over step() and dts().
+  core::EedcbOptions eedcb_options() const;
 
   /// Monte-Carlo delivery of `schedule` under the fading view (Fig. 6(b)).
   DeliveryStats delivery_under_fading(NodeId source,
@@ -117,8 +113,6 @@ class Workbench {
                                       const McOptions& mc = {}) const;
 
  private:
-  core::EedcbOptions eedcb_options() const;
-
   Options options_;
   std::unique_ptr<support::ThreadPool> pool_;
   std::unique_ptr<core::Tveg> step_;

@@ -1,6 +1,6 @@
 // The unified solve budget (resource-governance subsystem, see DESIGN.md).
 //
-// A Budget bundles the two resources a governed solve is accountable to:
+// A Budget bundles the two resources a budgeted solve is accountable to:
 //   deadline — wall-clock cutoff (throws TimeoutError when blown),
 //   cancel   — cooperative cancellation token (throws CancelledError).
 // Solver options carry one Budget instead of a bare Deadline; check() is
@@ -29,7 +29,7 @@ struct Budget {
   Budget(Deadline d) : deadline(d) {}  // NOLINT(implicit)
   Budget(Deadline d, CancelToken c) : deadline(d), cancel(std::move(c)) {}
 
-  /// True when neither time-limited nor cancellable (the ungoverned
+  /// True when neither time-limited nor cancellable (the unbudgeted
   /// default): pollers can skip work entirely.
   bool unlimited() const { return deadline.unlimited() && !cancel.valid(); }
 
@@ -37,10 +37,10 @@ struct Budget {
   /// throwing.
   bool exhausted() const { return cancel.cancelled() || deadline.expired(); }
 
-  /// The combined poll: heartbeat + CancelledError on a pending cancel,
-  /// then TimeoutError on an expired deadline. Cancellation is checked
-  /// first — a force-cancelled stalled solve must surface as cancelled even
-  /// when its deadline also lapsed meanwhile.
+  /// The combined poll: CancelledError on a pending cancel, then
+  /// TimeoutError on an expired deadline. Cancellation is checked first — a
+  /// cancelled solve must surface as cancelled (never degraded to a cheaper
+  /// rung) even when its deadline also lapsed meanwhile.
   void check(const char* where) const {
     cancel.check(where);
     deadline.check(where);
@@ -49,8 +49,8 @@ struct Budget {
   class Poller;
 };
 
-/// Strided budget poller: every poll() ticks the cancel token (relaxed
-/// load + heartbeat), the deadline clock is read only every `stride` polls
+/// Strided budget poller: every poll() checks the cancel token (relaxed
+/// load + poll count), the deadline clock is read only every `stride` polls
 /// via Deadline::Poller. Create one per loop (or per parallel chunk — it
 /// is not thread-safe) and call poll() per iteration.
 class Budget::Poller {

@@ -1,16 +1,14 @@
 // Cooperative cancellation (resource-governance subsystem, see DESIGN.md).
 //
 // A CancelSource owns a shared flag; the CancelTokens it hands out are
-// copied into solver options and polled from the hot loops. A poll is one
-// relaxed atomic load — cheap enough for per-iteration checks — plus a
-// relaxed counter increment that doubles as the liveness heartbeat the
-// Watchdog (support/watchdog.hpp) monitors: a solve whose poll counter
-// stops advancing is stuck in a non-polling region and can be force-
-// cancelled from outside.
+// copied into solver options (or a core::SolveRequest) and polled from the
+// hot loops. A poll is one relaxed atomic load — cheap enough for
+// per-iteration checks — plus a relaxed counter increment, so tests can
+// measure how many polls a cancel takes to land.
 //
 // Cancellation is *cooperative*: nothing is interrupted preemptively. The
 // contract is that every budgeted loop polls often enough that a cancel
-// request is observed within a bounded number of polls (the governance
+// request is observed within a bounded number of polls (the batch cancel
 // tests pin this bound).
 #pragma once
 
@@ -34,13 +32,13 @@ namespace detail {
 /// Shared between one CancelSource and all its tokens.
 struct CancelState {
   std::atomic<bool> cancelled{false};
-  /// Heartbeat: bumped on every token poll, watched by the Watchdog.
+  /// Bumped on every token poll (see CancelSource::polls).
   std::atomic<std::uint64_t> polls{0};
 };
 }  // namespace detail
 
 /// The polling side. Copyable and cheap; a default-constructed token is
-/// never cancelled and counts no polls (solvers run ungoverned by default).
+/// never cancelled and counts no polls (solvers run unbudgeted by default).
 class CancelToken {
  public:
   CancelToken() = default;
@@ -53,15 +51,8 @@ class CancelToken {
            state_->cancelled.load(std::memory_order_relaxed);
   }
 
-  /// One heartbeat tick without the throw — for loops that want to report
-  /// liveness but handle cancellation at a coarser granularity.
-  void note_poll() const {
-    if (state_ != nullptr)
-      state_->polls.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// The poll: ticks the heartbeat and throws CancelledError when the
-  /// source has requested cancellation. `where` names the phase.
+  /// The poll: counts itself and throws CancelledError when the source has
+  /// requested cancellation. `where` names the phase.
   void check(const char* where) const {
     if (state_ == nullptr) return;
     state_->polls.fetch_add(1, std::memory_order_relaxed);
@@ -76,8 +67,8 @@ class CancelToken {
   std::shared_ptr<detail::CancelState> state_;
 };
 
-/// The requesting side. Copies share the underlying state (so a Watchdog
-/// can hold one while the solve holds another).
+/// The requesting side. Copies share the underlying state (so a caller
+/// can hold one while another thread fires another).
 class CancelSource {
  public:
   CancelSource() : state_(std::make_shared<detail::CancelState>()) {}
@@ -94,8 +85,8 @@ class CancelSource {
     return state_->cancelled.load(std::memory_order_relaxed);
   }
 
-  /// Total polls observed across all tokens — the heartbeat the Watchdog
-  /// compares between ticks, and what the bounded-cancellation tests count.
+  /// Total polls observed across all tokens — what the bounded-cancellation
+  /// tests count.
   std::uint64_t polls() const {
     return state_->polls.load(std::memory_order_relaxed);
   }

@@ -23,7 +23,7 @@ enum class ErrorCode {
   kParse,         ///< malformed textual input
   kInvalidInput,  ///< well-formed but semantically out of range
   kTimeout,       ///< a wall-clock solve budget expired
-  kCancelled,     ///< the request's CancelToken fired (caller or watchdog)
+  kCancelled,     ///< the request's CancelToken fired
   kInfeasible,    ///< no feasible solution exists (or was found)
   kIo,            ///< file system / stream failure
   kInternal,      ///< invariant violation surfaced as a value

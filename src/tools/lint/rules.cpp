@@ -67,7 +67,7 @@ bool rule_applies(const std::string& rule, const std::string& path) {
 
 /// Registered metric subsystems; a key must read tveg.<subsystem>.<name>.
 const char* kMetricKeyPattern =
-    R"(^tveg\.(pool|obs|support|tvg|dts|aux|channel|trace|graph|steiner|nlp|core|eedcb|fr|prune|bip|online|fault|sim|mc|cli|cache|parallel|batch|govern|alloc)\.[a-z0-9_]+(\.[a-z0-9_]+)*$)";
+    R"(^tveg\.(pool|obs|support|tvg|dts|aux|channel|trace|graph|steiner|nlp|core|eedcb|fr|prune|bip|online|fault|sim|mc|cli|cache|parallel|batch|alloc)\.[a-z0-9_]+(\.[a-z0-9_]+)*$)";
 
 void check_metrics_keys(bool honor, const std::string& path,
                         const Views& views,
@@ -184,7 +184,7 @@ void check_no_wall_clock_in_spans(bool honor, const std::string& path,
 /// Resource-governance invariant: a pooled loop in solver code must be
 /// budget-aware. A `parallel_for` whose call region (through the matching
 /// close paren, lambda bodies included) mentions neither a budget/cancel
-/// token nor a poll is invisible to cooperative cancellation — the watchdog
+/// token nor a poll is invisible to cooperative cancellation — the token
 /// can fire, and the pool keeps grinding the full index range anyway. Scoped
 /// to the solver layers (core/, graph/, nlp/, sim/); support/ itself hosts
 /// the mechanism and the obs/cli layers never loop on the pool.
@@ -228,7 +228,7 @@ void check_no_unbudgeted_pool_loop(bool honor, const std::string& path,
         {path, line, "no-unbudgeted-pool-loop",
          "parallel_for in solver code without a budget/cancel token or "
          "poll in the call region; pass options.budget.cancel (and poll "
-         "the budget in the body) so governed solves can drain the pool"});
+         "the budget in the body) so budgeted solves can drain the pool"});
   }
 }
 

@@ -159,10 +159,11 @@ TEST(CertifySweep, SolveManyBatchesCertifyIncludingMulticast) {
     const auto batch = core::solve_many(tveg, requests, {});
     ASSERT_EQ(batch.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(batch[i].ok()) << batch[i].error().to_string();
       const core::TmedbInstance instance = core::to_instance(tveg, requests[i]);
-      expect_certified(t, instance, batch[i].schedule,
-                       channel::ChannelModel::kStep, batch[i].covered_all,
-                       seed);
+      expect_certified(t, instance, batch[i].value().schedule,
+                       channel::ChannelModel::kStep,
+                       batch[i].value().covered_all, seed);
     }
   }
 }

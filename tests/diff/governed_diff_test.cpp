@@ -1,9 +1,9 @@
-// Differential suite for the governed batch (DESIGN.md "Resource
-// governance"): with unlimited budgets, fault::solve_many_governed must be
-// a pure reordering-free wrapper — schedules BYTE-identical to the
-// ungoverned core::solve_many, transmission lists under exact double
-// equality, same serialized text — across seeded random TVEGs, with and
-// without memo + pool, and with a poisoned request planted mid-batch.
+// Differential suite for the budgeted batch (DESIGN.md "Resource
+// governance"): with unlimited budgets, fault::robust_solve_many and
+// core::solve_many must both be pure reordering-free batchers — schedules
+// BYTE-identical to per-request run_eedcb, transmission lists under exact
+// double equality, same serialized text — across seeded random TVEGs, with
+// and without memo + pool, and with a poisoned request planted mid-batch.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,7 +14,7 @@
 #include "core/schedule_io.hpp"
 #include "core/solve_many.hpp"
 #include "core/tveg.hpp"
-#include "fault/govern.hpp"
+#include "fault/degrade.hpp"
 #include "support/math.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/generators.hpp"
@@ -71,8 +71,8 @@ std::vector<SolveRequest> mixed_panel(int nodes) {
   return requests;
 }
 
-/// Ungoverned budgets: the governed batch must replicate solve_many's
-/// grouping and solve path byte for byte, serial and pooled + cached.
+/// Unlimited budgets: the batch paths must replicate per-request run_eedcb
+/// byte for byte, serial and pooled + cached, with or without the ladder.
 TEST(GovernedDiff, UnlimitedBudgetsMatchSolveManyByteForByte) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const int nodes = 6;
@@ -82,29 +82,29 @@ TEST(GovernedDiff, UnlimitedBudgetsMatchSolveManyByteForByte) {
     cached.memoize();
 
     const std::vector<SolveRequest> requests = mixed_panel(nodes);
-    const auto baseline = solve_many(serial, requests, {});
+    const auto batch_serial = solve_many(serial, requests, {});
 
-    fault::GovernOptions serial_opt;
-    const auto governed_serial =
-        fault::solve_many_governed(serial, requests, serial_opt);
+    EedcbOptions pooled_opt;
+    pooled_opt.pool = &pool();
+    const auto batch_pooled = solve_many(cached, requests, pooled_opt);
+    const auto robust_serial =
+        fault::robust_solve_many(serial, serial.build_dts(), requests, {});
 
-    fault::GovernOptions pooled_opt;
-    pooled_opt.eedcb.pool = &pool();
-    const auto governed_pooled =
-        fault::solve_many_governed(cached, requests, pooled_opt);
-
-    ASSERT_EQ(governed_serial.size(), requests.size());
-    ASSERT_EQ(governed_pooled.size(), requests.size());
+    ASSERT_EQ(batch_serial.size(), requests.size());
+    ASSERT_EQ(batch_pooled.size(), requests.size());
+    ASSERT_EQ(robust_serial.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(governed_serial[i].outcome.ok())
+      ASSERT_TRUE(batch_serial[i].ok()) << "seed " << seed << " request " << i;
+      ASSERT_TRUE(batch_pooled[i].ok()) << "seed " << seed << " request " << i;
+      ASSERT_TRUE(robust_serial[i].ok())
           << "seed " << seed << " request " << i;
-      ASSERT_TRUE(governed_pooled[i].outcome.ok())
-          << "seed " << seed << " request " << i;
-      EXPECT_FALSE(governed_serial[i].degraded());
-      expect_identical(baseline[i].schedule,
-                       governed_serial[i].outcome.value().schedule, seed);
-      expect_identical(baseline[i].schedule,
-                       governed_pooled[i].outcome.value().schedule, seed);
+      EXPECT_FALSE(robust_serial[i].value().degraded());
+      const Schedule oracle =
+          run_eedcb(to_instance(serial, requests[i]), EedcbOptions{}).schedule;
+      expect_identical(oracle, batch_serial[i].value().schedule, seed);
+      expect_identical(oracle, batch_pooled[i].value().schedule, seed);
+      expect_identical(oracle, robust_serial[i].value().result.schedule,
+                       seed);
     }
   }
 }
@@ -127,20 +127,19 @@ TEST(GovernedDiff, PoisonedRequestLeavesEveryOtherScheduleIdentical) {
                     {.source = static_cast<NodeId>(nodes + 50),
                      .deadline = 200.0});
 
-    const auto governed = fault::solve_many_governed(tveg, requests, {});
-    ASSERT_EQ(governed.size(), requests.size());
+    const auto poisoned = solve_many(tveg, requests, {});
+    ASSERT_EQ(poisoned.size(), requests.size());
     std::size_t baseline_index = 0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       if (i == poison_at) {
-        ASSERT_FALSE(governed[i].outcome.ok()) << "seed " << seed;
-        EXPECT_EQ(governed[i].outcome.error().code,
-                  support::ErrorCode::kInternal);
+        ASSERT_FALSE(poisoned[i].ok()) << "seed " << seed;
+        EXPECT_EQ(poisoned[i].error().code, support::ErrorCode::kInternal);
         continue;
       }
-      ASSERT_TRUE(governed[i].outcome.ok())
-          << "seed " << seed << " request " << i;
-      expect_identical(baseline[baseline_index].schedule,
-                       governed[i].outcome.value().schedule, seed);
+      ASSERT_TRUE(poisoned[i].ok()) << "seed " << seed << " request " << i;
+      ASSERT_TRUE(baseline[baseline_index].ok()) << "seed " << seed;
+      expect_identical(baseline[baseline_index].value().schedule,
+                       poisoned[i].value().schedule, seed);
       ++baseline_index;
     }
   }

@@ -170,9 +170,10 @@ TEST(SerialParallelDiff, SolveManyMatchesPerRequestRuns) {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const auto oracle =
           run_eedcb(to_instance(serial, requests[i]), serial_opt);
-      ASSERT_EQ(oracle.covered_all, batch[i].covered_all)
+      ASSERT_TRUE(batch[i].ok()) << "seed " << seed << " request " << i;
+      ASSERT_EQ(oracle.covered_all, batch[i].value().covered_all)
           << "seed " << seed << " request " << i;
-      expect_identical(oracle.schedule, batch[i].schedule, seed);
+      expect_identical(oracle.schedule, batch[i].value().schedule, seed);
     }
   }
 }

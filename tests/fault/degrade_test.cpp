@@ -108,6 +108,24 @@ TEST(Degrade, CancelledLadderThrowsInsteadOfDescending) {
   EXPECT_THROW(robust_solve(inst, dts, options), support::CancelledError);
 }
 
+TEST(Degrade, CancelledTokenStopsAGreedStart) {
+  // The final rung honors the token too: entering the ladder at GREED with
+  // a fired token (as robust_solve_many does for a timed-out request) must
+  // stop, not hand back a schedule.
+  const trace::ContactTrace t = sample_trace();
+  const core::Tveg tveg(t, unit_radio(),
+                        {.model = channel::ChannelModel::kStep});
+  const core::TmedbInstance inst{&tveg, 0, 200.0};
+  const DiscreteTimeSet dts = tveg.build_dts();
+
+  const support::CancelSource source;
+  source.request_cancel();
+  RobustSolveOptions options;
+  options.start = SolverRung::kGreed;
+  options.cancel = source.token();
+  EXPECT_THROW(robust_solve(inst, dts, options), support::CancelledError);
+}
+
 TEST(Degrade, StartRungCanSkipEedcb) {
   const trace::ContactTrace t = sample_trace();
   const core::Tveg tveg(t, unit_radio(),

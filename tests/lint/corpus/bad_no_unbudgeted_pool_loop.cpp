@@ -6,7 +6,7 @@
 namespace tveg::fixture {
 
 void grind(support::ThreadPool& pool, double* out, std::size_t n) {
-  // No token, no heartbeat: a governed solve could never drain this loop.
+  // No token, no poll: a cancelled solve could never drain this loop.
   pool.parallel_for(0, n, [&](std::size_t i) { out[i] = double(i) * 2.0; });
 }
 

@@ -1,8 +1,8 @@
 // Cancellation-storm stress (run instrumented by the TSan tier, see
-// scripts/ci.sh): many governed batches racing external cancels at seeded
-// random points must never leak a pool task, touch freed state, or corrupt
-// an uncancelled solve — the control request stays byte-identical to the
-// serial oracle throughout the storm.
+// scripts/ci.sh): many solve_many batches racing external per-request
+// cancels at seeded random points must never leak a pool task, touch freed
+// state, or corrupt an uncancelled solve — the control request stays
+// byte-identical to the serial oracle throughout the storm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,12 +15,11 @@
 #include "core/eedcb.hpp"
 #include "core/schedule_io.hpp"
 #include "core/solve_many.hpp"
-#include "fault/govern.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/generators.hpp"
 
-namespace tveg::fault {
+namespace tveg::sim {
 namespace {
 
 channel::RadioParams unit_radio() {
@@ -49,9 +48,10 @@ std::string serialized(const core::Schedule& schedule) {
   return out.str();
 }
 
-/// Rounds of governed batches; in each round a harness thread fires every
-/// request's CancelSource after a seeded random number of observed polls
-/// (including 0 — cancel-before-start — and "never" — the control case).
+/// Rounds of batches; in each round a harness thread fires every request's
+/// CancelSource (its SolveRequest::cancel) after a seeded random number of
+/// observed polls (including 0 — cancel-before-start — and "never" — the
+/// control case).
 TEST(CancelStorm, RacingCancelsNeverCorruptOrWedge) {
   const trace::ContactTrace t = storm_trace(9);
   const core::Tveg tveg(t, unit_radio(),
@@ -72,12 +72,13 @@ TEST(CancelStorm, RacingCancelsNeverCorruptOrWedge) {
     // Request 0 is the control: its source is never fired.
     std::vector<support::CancelSource> cancels(requests.size());
     std::vector<std::uint64_t> fire_at(requests.size());
-    for (std::size_t r = 1; r < requests.size(); ++r)
+    for (std::size_t r = 1; r < requests.size(); ++r) {
       fire_at[r] = rng.uniform_int(2000);
+      requests[r].cancel = cancels[r].token();
+    }
 
-    GovernOptions options;
-    options.shed_policy = ShedPolicy::kError;
-    options.eedcb.pool = &pool;
+    core::EedcbOptions options;
+    options.pool = &pool;
 
     std::atomic<bool> done{false};
     std::vector<std::thread> firers;
@@ -90,24 +91,22 @@ TEST(CancelStorm, RacingCancelsNeverCorruptOrWedge) {
       });
     }
 
-    const auto governed =
-        solve_many_governed(tveg, dts, requests, options, cancels);
+    const auto batch = core::solve_many(tveg, dts, requests, options);
     done.store(true);
     for (auto& thread : firers) thread.join();
 
-    ASSERT_EQ(governed.size(), requests.size()) << "round " << round;
+    ASSERT_EQ(batch.size(), requests.size()) << "round " << round;
     // The control request survived the storm byte-identically.
-    ASSERT_TRUE(governed[0].outcome.ok()) << "round " << round;
-    EXPECT_EQ(serialized(governed[0].outcome.value().schedule), oracle_text)
+    ASSERT_TRUE(batch[0].ok()) << "round " << round;
+    EXPECT_EQ(serialized(batch[0].value().schedule), oracle_text)
         << "round " << round;
     // Every other outcome is a clean schedule or a clean cancellation —
     // nothing else can come out of a cancel race.
     for (std::size_t r = 1; r < requests.size(); ++r) {
-      const auto& g = governed[r];
-      if (g.outcome.ok()) continue;
-      EXPECT_EQ(g.outcome.error().code, support::ErrorCode::kCancelled)
+      if (batch[r].ok()) continue;
+      EXPECT_EQ(batch[r].error().code, support::ErrorCode::kCancelled)
           << "round " << round << " request " << r << ": "
-          << g.outcome.error().to_string();
+          << batch[r].error().to_string();
     }
     // No leaked pool task: the pool drains to fully reusable every round.
     std::atomic<std::size_t> ran{0};
@@ -116,27 +115,28 @@ TEST(CancelStorm, RacingCancelsNeverCorruptOrWedge) {
   }
 }
 
-/// Concurrent governed batches on separate pools, cancelled from one shared
-/// storm thread — exercises the Watchdog registry and CancelSource sharing
-/// across threads under TSan.
-TEST(CancelStorm, ConcurrentBatchesWithWatchdogStayIsolated) {
+/// Concurrent batches from several caller threads over one shared TVEG and
+/// DTS, each request carrying its own cancel token — exercises the shared
+/// read-only state and per-request budgets across threads under TSan.
+TEST(CancelStorm, ConcurrentBatchesStayIsolated) {
   const trace::ContactTrace t = storm_trace(13);
   const core::Tveg tveg(t, unit_radio(),
                         {.model = channel::ChannelModel::kStep});
   const DiscreteTimeSet dts = tveg.build_dts();
 
   constexpr int kBatches = 3;
-  std::vector<std::vector<GovernedSolve>> results(kBatches);
+  std::vector<std::vector<core::SolveOutcome>> results(kBatches);
   std::vector<std::thread> runners;
   for (int b = 0; b < kBatches; ++b) {
     runners.emplace_back([&, b] {
+      const support::CancelSource never_fired;
       std::vector<core::SolveRequest> requests;
-      for (NodeId s = 0; s < 4; ++s)
+      for (NodeId s = 0; s < 4; ++s) {
         requests.push_back({.source = s, .deadline = 200.0});
-      GovernOptions options;
-      options.stall_ms = 60000;  // armed, never firing
+        requests.back().cancel = never_fired.token();
+      }
       results[static_cast<std::size_t>(b)] =
-          solve_many_governed(tveg, dts, requests, options);
+          core::solve_many(tveg, dts, requests, {});
     });
   }
   for (auto& thread : runners) thread.join();
@@ -146,13 +146,12 @@ TEST(CancelStorm, ConcurrentBatchesWithWatchdogStayIsolated) {
                      .schedule);
   for (int b = 0; b < kBatches; ++b) {
     ASSERT_EQ(results[static_cast<std::size_t>(b)].size(), 4u);
-    ASSERT_TRUE(results[static_cast<std::size_t>(b)][0].outcome.ok());
-    EXPECT_EQ(serialized(results[static_cast<std::size_t>(b)][0]
-                             .outcome.value()
-                             .schedule),
-              expected);
+    ASSERT_TRUE(results[static_cast<std::size_t>(b)][0].ok());
+    EXPECT_EQ(
+        serialized(results[static_cast<std::size_t>(b)][0].value().schedule),
+        expected);
   }
 }
 
 }  // namespace
-}  // namespace tveg::fault
+}  // namespace tveg::sim

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "trace/generators.hpp"
 
 namespace tveg::sim {
@@ -121,6 +124,16 @@ TEST(Experiment, EedcbCheaperThanGreedOnAverage) {
   }
   ASSERT_GT(runs, 3);
   EXPECT_LT(eedcb_total, greed_total);
+}
+
+TEST(Experiment, RunManyEedcbThrowsForAFailedRequest) {
+  // run_many_eedcb keeps throwing semantics on top of solve_many's slots:
+  // the batch runs to the end, then the failed request surfaces.
+  const Workbench bench(bench_trace(), paper_radio());
+  const std::vector<core::SolveRequest> requests = {
+      {.source = 0, .deadline = 6000.0}, {.source = 99, .deadline = 6000.0}};
+  EXPECT_THROW(bench.run_many_eedcb(requests), std::invalid_argument);
+  EXPECT_EQ(bench.run_many_eedcb({requests[0]}).size(), 1u);
 }
 
 TEST(Experiment, RandSeedChangesRandSchedule) {

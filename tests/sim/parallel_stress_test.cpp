@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/solve_many.hpp"
@@ -36,6 +37,15 @@ trace::ContactTrace sample_trace(std::uint64_t seed = 1) {
   cfg.p = 0.35;
   cfg.seed = seed;
   return trace::generate_snapshots(cfg);
+}
+
+/// A batch's schedules; throws on any failed slot.
+std::vector<core::SchedulerResult> schedules(
+    std::vector<core::SolveOutcome> slots) {
+  std::vector<core::SchedulerResult> out;
+  for (core::SolveOutcome& slot : slots)
+    out.push_back(std::move(slot).take_or_throw());
+  return out;
 }
 
 TEST(ParallelStress, ConcurrentMonteCarloCallersStayDeterministic) {
@@ -121,7 +131,7 @@ TEST(ParallelStress, ConcurrentSolveManyBatchesShareWorkspacePool) {
   requests.push_back({.source = 0, .deadline = 160.0});
 
   const std::vector<core::SchedulerResult> baseline =
-      core::solve_many(tveg, requests, {});
+      schedules(core::solve_many(tveg, requests, {}));
 
   constexpr std::size_t kCallers = 3;
   std::vector<std::vector<core::SchedulerResult>> results(kCallers);
@@ -131,7 +141,7 @@ TEST(ParallelStress, ConcurrentSolveManyBatchesShareWorkspacePool) {
     callers.emplace_back([&, c] {
       core::EedcbOptions pooled;
       pooled.pool = &support::ThreadPool::global();
-      results[c] = core::solve_many(tveg, requests, pooled);
+      results[c] = schedules(core::solve_many(tveg, requests, pooled));
     });
   }
   for (auto& th : callers) th.join();

@@ -1,15 +1,11 @@
 // Resource-governance primitives: CancelToken/CancelSource semantics, the
-// unified Budget poll (cancellation wins over timeout), the strided
-// pollers, and the stall Watchdog.
+// unified Budget poll (cancellation wins over timeout), and the strided
+// pollers.
 #include "support/budget.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <string>
-#include <thread>
-
-#include "support/watchdog.hpp"
 
 namespace tveg::support {
 namespace {
@@ -19,7 +15,6 @@ TEST(CancelToken, DefaultTokenIsInertAndFree) {
   EXPECT_FALSE(token.valid());
   EXPECT_FALSE(token.cancelled());
   EXPECT_NO_THROW(token.check("anywhere"));
-  EXPECT_NO_THROW(token.note_poll());
 }
 
 TEST(CancelToken, SourceCancelReachesEveryToken) {
@@ -48,11 +43,11 @@ TEST(CancelToken, PollsCountAsHeartbeat) {
   EXPECT_EQ(source.polls(), 0u);
   token.check("a");
   token.check("a");
-  token.note_poll();
+  source.token().check("b");
   EXPECT_EQ(source.polls(), 3u);
 
-  // Copies of the source share the same heartbeat (the watchdog holds one
-  // while the solve holds another).
+  // Copies of the source share the same poll count (a harness thread holds
+  // one while the solve polls through another's token).
   const CancelSource copy = source;  // NOLINT(performance-*)
   EXPECT_EQ(copy.polls(), 3u);
   copy.request_cancel();
@@ -113,52 +108,6 @@ TEST(BudgetPoller, ExpiredDeadlineSurfacesWithinOneStride) {
     }
   }
   EXPECT_TRUE(threw);
-}
-
-TEST(Watchdog, ForceCancelsASolveThatStopsPolling) {
-  Watchdog dog(Watchdog::Options{.stall_ms = 20, .tick_ms = 5});
-  const CancelSource source;
-  const std::uint64_t handle = dog.watch(source);
-
-  // The source never polls: the watchdog must declare a stall and cancel.
-  for (int i = 0; i < 400 && !source.cancel_requested(); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(source.cancel_requested());
-  EXPECT_GE(dog.stalls(), 1u);
-  dog.unwatch(handle);
-  dog.unwatch(handle);  // idempotent
-}
-
-TEST(Watchdog, DoesNotCancelBeforeTheStallWindow) {
-  // A generous window: unwatching after a few heartbeats can never race the
-  // stall declaration.
-  Watchdog dog(Watchdog::Options{.stall_ms = 60000});
-  const CancelSource source;
-  {
-    const Watchdog::Scope scope(dog, source);
-    const CancelToken token = source.token();
-    for (int i = 0; i < 5; ++i) {
-      token.check("solve");
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_FALSE(source.cancel_requested());
-  }
-  EXPECT_EQ(dog.stalls(), 0u);
-}
-
-TEST(Watchdog, FrequentHeartbeatsAreNeverAStall) {
-  // Explicit tick: the monitor samples often, the solve polls much faster
-  // than the (scheduling-noise-proof) one-second window.
-  Watchdog dog(Watchdog::Options{.stall_ms = 1000, .tick_ms = 20});
-  const CancelSource source;
-  const Watchdog::Scope scope(dog, source);
-  const CancelToken token = source.token();
-  for (int i = 0; i < 20; ++i) {
-    token.check("solve");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_FALSE(source.cancel_requested());
-  EXPECT_EQ(dog.stalls(), 0u);
 }
 
 }  // namespace
