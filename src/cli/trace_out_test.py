@@ -1,9 +1,10 @@
 """End-to-end check of `tmedb run --trace-out` on the paper trace.
 
-An FR-EEDCB run with 2000 Monte-Carlo trials must produce a Perfetto trace
-that still holds the dts_build span, whose first span has non-zero length
-(the tracing epoch is pinned before it opens), and whose metrics report no
-span dropped to ring overflow.
+A serial (--threads 0) FR-EEDCB run with 2000 Monte-Carlo trials must
+produce a Perfetto trace that still holds the dts_build span, splits Steiner
+into its steiner_terminal_sweep and steiner_density_scan sub-phases, whose
+first span has non-zero length (the tracing epoch is pinned before it
+opens), and whose metrics report no span dropped to ring overflow.
 
 usage: trace_out_test.py TMEDB TRACE WORKDIR
 """
@@ -22,15 +23,18 @@ def main():
     metrics_out = workdir + "/trace_out_test.metrics.json"
     subprocess.run(
         [tmedb, "run", trace, "--algorithm", "FR-EEDCB", "--deadline", "6000",
-         "--trials", "2000", "--trace-out", trace_out,
+         "--trials", "2000", "--threads", "0", "--trace-out", trace_out,
          "--metrics-out", metrics_out],
         check=True, stdout=subprocess.DEVNULL)
 
     with open(trace_out) as f:
         spans = [e for e in json.load(f)["traceEvents"]
                  if e["ph"] in ("B", "E")]
-    if not any(e["ph"] == "B" and e["name"] == "dts_build" for e in spans):
-        fail("no dts_build span in the trace")
+    opened = {e["name"] for e in spans if e["ph"] == "B"}
+    for name in ("dts_build", "steiner_terminal_sweep",
+                 "steiner_density_scan"):
+        if name not in opened:
+            fail("no %s span in the trace" % name)
 
     # B/E pairs nest LIFO per thread track: the first span ends at the first
     # event on its track that brings the depth back to zero.
@@ -52,7 +56,8 @@ def main():
         drops = json.load(f)["metrics"]["counters"].get("tveg.obs.span_drops")
     if drops != 0:
         fail("tveg.obs.span_drops is %s, expected 0" % drops)
-    print("first span %s lasts %.1f us; dts_build present; no drops"
+    print("first span %s lasts %.1f us; dts_build and Steiner sub-phases "
+          "present; no drops"
           % (first["name"], duration))
 
 

@@ -27,20 +27,26 @@ SchedulerResult run_eedcb(const TmedbInstance& instance,
   return run_eedcb(instance, dts, options);
 }
 
+AuxGraph build_eedcb_aux(const TmedbInstance& instance,
+                         const DiscreteTimeSet& dts,
+                         const EedcbOptions& options, double& build_ms) {
+  instance.validate();
+  options.budget.check("eedcb");
+  const auto aux_start = Clock::now();
+  AuxGraph aux(instance, dts,
+               {.power_expansion = options.power_expansion,
+                .pool = options.pool,
+                .budget = options.budget});
+  options.budget.check("aux_graph");
+  build_ms = ms_since(aux_start);
+  return aux;
+}
+
 SchedulerResult run_eedcb(const TmedbInstance& instance,
                           const DiscreteTimeSet& dts,
                           const EedcbOptions& options) {
-  instance.validate();
-  options.budget.check("eedcb");
-
-  const auto aux_start = Clock::now();
-  const AuxGraph aux(instance, dts,
-                     {.power_expansion = options.power_expansion,
-                      .pool = options.pool,
-                      .budget = options.budget});
-  options.budget.check("aux_graph");
-  const double aux_ms = ms_since(aux_start);
-
+  double aux_ms = 0;
+  const AuxGraph aux = build_eedcb_aux(instance, dts, options, aux_ms);
   graph::SteinerSolver solver(aux.digraph());
   SchedulerResult result = run_eedcb_on_aux(instance, dts, aux, solver, options);
   result.stats.aux_build_ms = aux_ms;

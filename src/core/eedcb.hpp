@@ -80,6 +80,14 @@ SchedulerResult run_eedcb(const TmedbInstance& instance,
                           const DiscreteTimeSet& dts,
                           const EedcbOptions& options = {});
 
+/// Builds the auxiliary graph run_eedcb solves on, with `options`' power
+/// expansion, pool and budget (checked before and after the build), and
+/// stores the build time in `build_ms`. Lets a caller that solves several
+/// times on one graph (FR-EEDCB's multi-start) build it once.
+AuxGraph build_eedcb_aux(const TmedbInstance& instance,
+                         const DiscreteTimeSet& dts,
+                         const EedcbOptions& options, double& build_ms);
+
 /// Runs the Steiner + extraction + prune tail of EEDCB over a prebuilt
 /// auxiliary graph and solver — the amortization point of solve_many(): one
 /// aux graph and one solver (with its Dijkstra-tree cache) serve every

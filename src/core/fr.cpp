@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/steiner.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -77,6 +78,16 @@ FrResult run_fr_eedcb(const TmedbInstance& instance,
                       const EedcbOptions& eedcb_options,
                       const AllocationOptions& allocation_options,
                       const FrOptions& fr_options) {
+  static obs::Counter& runs_metric =
+      obs::MetricsRegistry::global().counter(obs::keys::kFrRuns);
+  runs_metric.add(1);
+
+  // Both attempts solve on one aux graph. Each gets its own solver: a
+  // shared one would hand the second attempt the first one's cached trees,
+  // and its work counters would no longer describe its own solve.
+  double aux_ms = 0;
+  const AuxGraph aux = build_eedcb_aux(instance, dts, eedcb_options, aux_ms);
+
   // ε-cost pruning is disabled for the fading backbone: the NLP's objective
   // rewards coverage overlap that the prune pass would strip (see FrOptions).
   auto attempt = [&](SteinerMethod method) {
@@ -84,17 +95,16 @@ FrResult run_fr_eedcb(const TmedbInstance& instance,
     backbone_options.prune = false;
     backbone_options.method = method;
     FrResult result;
-    result.backbone = run_eedcb(instance, dts, backbone_options);
+    graph::SteinerSolver solver(aux.digraph());
+    result.backbone =
+        run_eedcb_on_aux(instance, dts, aux, solver, backbone_options);
+    result.backbone.stats.aux_build_ms = aux_ms;
     result.allocation = allocate_energy(instance, result.backbone.schedule,
                                         allocation_options);
     if (fr_options.refine_backbone)
       refine_backbone(instance, allocation_options, fr_options, result);
     return result;
   };
-
-  static obs::Counter& runs_metric =
-      obs::MetricsRegistry::global().counter(obs::keys::kFrRuns);
-  runs_metric.add(1);
 
   FrResult best = attempt(eedcb_options.method);
   if (fr_options.multi_start) {

@@ -83,33 +83,6 @@ std::span<const Arc> Digraph::out(VertexId v) const {
   return {arcs_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
 }
 
-Digraph Digraph::reversed() const {
-  ensure_frozen();
-  Digraph r(vertices_);
-  const auto n = static_cast<std::size_t>(vertices_);
-  // Counting sort by head vertex; scanning arcs_ in (source, position) order
-  // replays the historical per-source add_arc loop, so each reversed
-  // vertex's arc order matches the old representation exactly.
-  r.offsets_.assign(n + 1, 0);
-  for (const Arc& a : arcs_) ++r.offsets_[static_cast<std::size_t>(a.to) + 1];
-  for (std::size_t v = 0; v < n; ++v) r.offsets_[v + 1] += r.offsets_[v];
-  r.cursor_.assign(r.offsets_.begin(), r.offsets_.end() - 1);
-  r.arcs_.resize(arcs_.size());
-  for (VertexId v = 0; v < vertices_; ++v) {
-    const auto i = static_cast<std::size_t>(v);
-    for (std::size_t j = offsets_[i]; j < offsets_[i + 1]; ++j) {
-      const Arc& a = arcs_[j];
-      r.arcs_[r.cursor_[static_cast<std::size_t>(a.to)]++] = {v, a.weight};
-    }
-  }
-  r.frozen_ = true;
-  obs::MetricsRegistry::global().counter(obs::keys::kGraphFreezes).add(1);
-  obs::MetricsRegistry::global()
-      .counter(obs::keys::kGraphFrozenArcs)
-      .add(static_cast<std::int64_t>(r.arcs_.size()));
-  return r;
-}
-
 namespace {
 
 // Shared Dijkstra core writing into caller-provided flat arrays. `heap` is a
@@ -121,7 +94,6 @@ void dijkstra_core(const Digraph& g, VertexId src, double* dist,
                    VertexId* parent,
                    std::vector<std::pair<double, VertexId>>& heap,
                    std::size_t& settled, std::size_t& relaxations) {
-  using Entry = std::pair<double, VertexId>;
   heap.clear();
   heap.emplace_back(0.0, src);
   while (!heap.empty()) {

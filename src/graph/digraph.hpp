@@ -64,11 +64,6 @@ class Digraph {
   /// The out-arcs of v in insertion order (freezes a never-frozen graph).
   std::span<const Arc> out(VertexId v) const;
 
-  /// The reversed graph, already frozen (used for distance-to-terminal
-  /// preprocessing). Per-vertex arc order is by (source vertex, position) —
-  /// identical to the historical add_arc replay.
-  Digraph reversed() const;
-
  private:
   void check_vertex(VertexId v) const;
   void ensure_frozen() const;

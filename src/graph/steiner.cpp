@@ -92,7 +92,6 @@ SteinerResult finalize(const TreeBuilder& builder, VertexId root,
 
 SteinerSolver::SteinerSolver(const Digraph& g)
     : g_(g),
-      reversed_(g.reversed()),
       forward_slot_(static_cast<std::size_t>(g.vertex_count()), -1),
       ws_(acquire_workspace()) {}
 
@@ -252,6 +251,7 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
       for (const Best& b : local)
         if (b.density < best.density) best = b;
     } else {
+      obs::ScopedSpan scan_span("steiner_density_scan");
       best = scan_range(0, g_.vertex_count());
     }
     const VertexId best_u = best.u;
@@ -283,42 +283,17 @@ SteinerResult SteinerSolver::recursive_greedy(
     if (t != root && seen.insert(t).second) state.terminals.push_back(t);
   state.covered.assign(state.terminals.size(), 0);
 
-  // dist(u → terminal) for every u, via Dijkstra on the reversed graph.
-  // Each run fills an indexed row and the work counters are summed in
-  // terminal order afterwards, so the pooled path is bit-identical (results
-  // and stats) to the serial one. Rows are transposed into the terminal-
-  // major matrix the density scan reads (one serial pass — the parallel
-  // runs never write shared cache lines).
-  const auto n = static_cast<std::size_t>(g_.vertex_count());
+  // dist(u → terminal) for every u, which only the level-2 density scan
+  // reads: one sweep over the graph's SCCs, whose order is computed on the
+  // first such query and kept for the solver's lifetime.
   term_count_ = state.terminals.size();
-  dist_to_term_.assign(n * term_count_, kInf);
-  const auto scatter_row = [&](std::size_t k, const std::vector<double>& d) {
-    for (std::size_t u = 0; u < n; ++u)
-      dist_to_term_[u * term_count_ + k] = d[u];
-  };
-  if (pool_ != nullptr && state.terminals.size() > 1) {
-    std::vector<ShortestPaths> runs(state.terminals.size());
-    pool_->parallel_for(0, state.terminals.size(), [&](std::size_t k) {
-      obs::ScopedSpan run_span("steiner_reverse_dijkstra");
-      budget_.check("steiner");
-      auto ws = acquire_workspace();
-      runs[k] = dijkstra(reversed_, state.terminals[k], *ws);
-    }, budget_.cancel);
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      note_run(runs[k]);
-      scatter_row(k, runs[k].dist);
-    }
-    static obs::Counter& par_runs = obs::MetricsRegistry::global().counter(
-        obs::keys::kParallelSteinerDijkstras);
-    par_runs.add(state.terminals.size());
-  } else {
-    support::Budget::Poller poller(budget_, "steiner", /*stride=*/16);
-    for (std::size_t k = 0; k < state.terminals.size(); ++k) {
-      poller.poll();
-      const ShortestPaths sp = dijkstra(reversed_, state.terminals[k], *ws_);
-      note_run(sp);
-      scatter_row(k, sp.dist);
-    }
+  if (level >= 2) {
+    obs::ScopedSpan sweep_span("steiner_terminal_sweep");
+    if (scc_.offsets.empty()) scc_ = scc_order(g_);
+    const TerminalSweepWork work = distances_to_terminals(
+        g_, scc_, state.terminals, budget_, dist_to_term_);
+    stats_.nodes_expanded += work.visits;
+    stats_.relaxations += work.improvements;
   }
 
   greedy_cover(state, root, level, state.terminals.size());

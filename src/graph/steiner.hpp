@@ -17,7 +17,8 @@
 // Memory layout (DESIGN.md "Data layout & hot-path memory"): all per-query
 // state is dense and index-addressed — the forward-tree cache is a slot
 // array into a stable deque, terminal distances live in one flat
-// terminal-major matrix, and every Dijkstra runs on a pooled workspace — so
+// terminal-major matrix filled by one SCC-ordered sweep (graph/
+// terminal_sweep.hpp), and every Dijkstra runs on a pooled workspace — so
 // repeated queries against one solver allocate nothing in steady state.
 #pragma once
 
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/terminal_sweep.hpp"
 #include "graph/workspace_pool.hpp"
 #include "support/budget.hpp"
 #include "support/thread_pool.hpp"
@@ -49,25 +51,27 @@ struct SteinerResult {
 };
 
 /// Directed Steiner solver bound to one digraph; caches single-source
-/// shortest-path trees across queries. Construction freezes the graph (CSR
+/// shortest-path trees, and the graph's SCC order, across queries. Not
+/// thread-safe: one query at a time. Construction freezes the graph (CSR
 /// form) — do not mutate it afterwards.
 class SteinerSolver {
  public:
   explicit SteinerSolver(const Digraph& g);
 
   /// Cooperative solve budget: the heuristic solvers poll it between
-  /// shortest-path runs and (via strided pollers) inside the density scans,
-  /// throwing support::TimeoutError on expiry and support::CancelledError
-  /// when the budget's cancel token fires. Default: unlimited.
+  /// shortest-path runs and (via strided pollers) inside the terminal sweep
+  /// and the density scans, throwing support::TimeoutError on expiry and
+  /// support::CancelledError when the budget's cancel token fires. Default:
+  /// unlimited.
   void set_budget(support::Budget budget) { budget_ = std::move(budget); }
 
   /// Optional worker pool for the embarrassingly parallel phases: the
-  /// per-terminal reverse Dijkstras and the level-2 density scan of
-  /// recursive_greedy, and exact_small's all-sources trees. Results are
-  /// bit-identical to the serial path — every parallel phase either writes
-  /// indexed slots or reduces chunk-local minima in serial chunk order (the
-  /// level-2 winner is the lexicographically first (u, k') attaining the
-  /// minimum density, same as the serial strict-< scan). nullptr = serial.
+  /// level-2 density scan of recursive_greedy and exact_small's all-sources
+  /// trees (the terminal sweep is serial). Results are bit-identical to the
+  /// serial path — every parallel phase either writes indexed slots or
+  /// reduces chunk-local minima in serial chunk order (the level-2 winner is
+  /// the lexicographically first (u, k') attaining the minimum density, same
+  /// as the serial strict-< scan). nullptr = serial.
   void set_pool(support::ThreadPool* pool) { pool_ = pool; }
 
   /// Union of shortest paths to each terminal, then non-terminal leaves are
@@ -77,7 +81,7 @@ class SteinerSolver {
 
   /// Charikar recursive greedy at the given level (1 or 2; higher levels
   /// clamp to 2). Level 1 equals the shortest-path bunch; level 2 selects
-  /// intermediate roots by best density.
+  /// intermediate roots by best density over the dist(u → terminal) matrix.
   SteinerResult recursive_greedy(VertexId root,
                                  const std::vector<VertexId>& terminals,
                                  int level);
@@ -94,11 +98,13 @@ class SteinerSolver {
                 const std::vector<VertexId>& terminals) const;
 
   /// Work counters of the most recent solver query (cached Dijkstra trees
-  /// count no work twice). Also accumulated into the global metrics
-  /// registry under tveg.steiner.*.
+  /// and the cached SCC order count no work twice). Also accumulated into
+  /// the global metrics registry under tveg.steiner.*.
   struct QueryStats {
-    std::size_t dijkstra_runs = 0;
-    std::size_t nodes_expanded = 0;  ///< settled vertices across runs
+    std::size_t dijkstra_runs = 0;  ///< forward Dijkstras; the sweep adds 0
+    /// Dijkstra settles plus terminal-sweep vertex visits (all passes).
+    std::size_t nodes_expanded = 0;
+    /// Dijkstra distance improvements plus lowered sweep matrix entries.
     std::size_t relaxations = 0;
   };
   const QueryStats& last_query_stats() const { return stats_; }
@@ -114,18 +120,19 @@ class SteinerSolver {
   support::Budget budget_;
   support::ThreadPool* pool_ = nullptr;
 
-  /// dist(u → terminals_[k]) of the current recursive_greedy query, stored
-  /// terminal-major at [u*term_count_ + k] so the density scan's inner loop
-  /// over k is one contiguous read per vertex.
+  /// dist(u → terminals_[k]) of the current level-2 recursive_greedy query,
+  /// stored terminal-major at [u*term_count_ + k] so the density scan's
+  /// inner loop over k is one contiguous read per vertex.
   std::vector<double> dist_to_term_;
   std::size_t term_count_ = 0;
+  /// The graph's SCCs, sinks first; empty until the first level-2 query.
+  SccOrder scc_;
 
   struct GreedyState;
   void greedy_cover(GreedyState& state, VertexId v, int level,
                     std::size_t want);
 
   const Digraph& g_;
-  Digraph reversed_;
   /// Forward-tree cache: forward_slot_[v] indexes forward_store_, -1 when
   /// absent. A deque so cached trees keep stable addresses while
   /// greedy_cover holds references across recursive inserts.

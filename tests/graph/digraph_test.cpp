@@ -30,17 +30,6 @@ TEST(Digraph, RejectsNegativeWeightAndBadVertices) {
   EXPECT_THROW(g.out(9), std::invalid_argument);
 }
 
-TEST(Digraph, ReversedFlipsArcs) {
-  Digraph g(3);
-  g.add_arc(0, 1, 2.0);
-  g.add_arc(1, 2, 3.0);
-  const Digraph r = g.reversed();
-  ASSERT_EQ(r.out(1).size(), 1u);
-  EXPECT_EQ(r.out(1)[0].to, 0);
-  EXPECT_DOUBLE_EQ(r.out(1)[0].weight, 2.0);
-  EXPECT_TRUE(r.out(0).empty());
-}
-
 TEST(Dijkstra, ShortestDistances) {
   Digraph g(5);
   g.add_arc(0, 1, 1.0);
@@ -138,28 +127,6 @@ TEST(Digraph, ResetReturnsToBuildingState) {
   ASSERT_EQ(g.out(1).size(), 1u);
   EXPECT_DOUBLE_EQ(g.out(1)[0].weight, 4.0);
   EXPECT_TRUE(g.out(0).empty());
-}
-
-TEST(Digraph, ReversedKeepsSourcePositionOrder) {
-  // Arcs into vertex 3 from sources 0, 1, 2 (two from 1): the reversed
-  // vertex must list them by (source, insertion position) — the order the
-  // historical per-source add_arc replay produced.
-  Digraph g(4);
-  g.add_arc(1, 3, 1.0);
-  g.add_arc(0, 3, 2.0);
-  g.add_arc(1, 3, 3.0);
-  g.add_arc(2, 3, 4.0);
-  const Digraph r = g.reversed();
-  EXPECT_TRUE(r.frozen());
-  ASSERT_EQ(r.out(3).size(), 4u);
-  EXPECT_EQ(r.out(3)[0].to, 0);
-  EXPECT_DOUBLE_EQ(r.out(3)[0].weight, 2.0);
-  EXPECT_EQ(r.out(3)[1].to, 1);
-  EXPECT_DOUBLE_EQ(r.out(3)[1].weight, 1.0);
-  EXPECT_EQ(r.out(3)[2].to, 1);
-  EXPECT_DOUBLE_EQ(r.out(3)[2].weight, 3.0);
-  EXPECT_EQ(r.out(3)[3].to, 2);
-  EXPECT_DOUBLE_EQ(r.out(3)[3].weight, 4.0);
 }
 
 TEST(DijkstraWorkspace, ReuseIsByteIdentical) {
