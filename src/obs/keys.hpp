@@ -38,6 +38,7 @@ inline constexpr char kObsFlightDumpErrors[] = "tveg.obs.flight_dump_errors";
 // -- tvg/dts ----------------------------------------------------------------
 inline constexpr char kDtsBuilds[] = "tveg.dts.builds";
 inline constexpr char kDtsPoints[] = "tveg.dts.points";
+/// DTS sweep work: heap pops plus the points the τ = 0 DFS appends.
 inline constexpr char kDtsClosureSteps[] = "tveg.dts.closure_steps";
 inline constexpr char kDtsTruncations[] = "tveg.dts.truncations";
 

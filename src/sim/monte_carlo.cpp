@@ -46,11 +46,7 @@ struct TrialState {
     }
   }
 
-  bool edge_alive(NodeId a, NodeId b) const {
-    if (edge_up.empty()) return true;
-    const std::size_t e = tveg.graph().edge_id(a, b);
-    return e != static_cast<std::size_t>(-1) && edge_up[e];
-  }
+  bool edge_alive(std::size_t e) const { return edge_up.empty() || edge_up[e]; }
 
   /// True when transmission k is forced to fail this trial (counted).
   bool tx_forced_fail(std::size_t k) {
@@ -61,10 +57,40 @@ struct TrialState {
   }
 };
 
+/// One potential receiver of a transmission: neighbour `to` over edge
+/// `edge`, reached with failure probability `phi`.
+struct Reach {
+  NodeId to;
+  std::size_t edge;
+  double phi;
+};
+
+/// Each transmission's receivers (ascending node id, as neighbors_at lists
+/// them) at the time the trial mode evaluates it: the transmission's own
+/// time, or its equal-time group's first time when `at_group_time`. The
+/// lists depend on the schedule only, so every trial shares them.
+std::vector<std::vector<Reach>> reach_lists(
+    const core::Tveg& tveg, const std::vector<core::Transmission>& txs,
+    bool at_group_time) {
+  const TimeVaryingGraph& g = tveg.graph();
+  std::vector<std::vector<Reach>> out(txs.size());
+  std::size_t group_begin = 0;
+  for (std::size_t k = 0; k < txs.size(); ++k) {
+    if (txs[k].time - txs[group_begin].time > 1e-9) group_begin = k;
+    const core::Transmission& tx = txs[k];
+    const Time t = at_group_time ? txs[group_begin].time : tx.time;
+    for (NodeId j : g.neighbors_at(tx.relay, t))
+      out[k].push_back({j, g.edge_id(tx.relay, j),
+                        tveg.failure_probability(tx.relay, j, t, tx.cost)});
+  }
+  return out;
+}
+
 /// One trial without interference: equal-time groups run to a fixpoint
 /// (non-stop journeys at τ = 0 are legal), each transmission draws its
 /// channel once.
 std::size_t run_trial_plain(const std::vector<core::Transmission>& txs,
+                            const std::vector<std::vector<Reach>>& reach,
                             NodeId source, TrialState& state,
                             std::vector<Time>& informed_at) {
   const core::Tveg& tveg = state.tveg;
@@ -92,15 +118,13 @@ std::size_t run_trial_plain(const std::vector<core::Transmission>& txs,
         fired[k] = 1;
         progress = true;
         if (state.tx_forced_fail(k)) continue;  // fault: emits nothing
-        for (NodeId j : tveg.graph().neighbors_at(tx.relay, tx.time)) {
-          if (!state.edge_alive(tx.relay, j)) continue;
-          if (informed_at[static_cast<std::size_t>(j)] <= tx.time + tau)
+        for (const Reach& r : reach[k]) {
+          if (!state.edge_alive(r.edge)) continue;
+          if (informed_at[static_cast<std::size_t>(r.to)] <= tx.time + tau)
             continue;
-          const double phi =
-              tveg.failure_probability(tx.relay, j, tx.time, tx.cost);
           ++state.draws;
-          if (!state.rng.bernoulli(phi))
-            informed_at[static_cast<std::size_t>(j)] = tx.time + tau;
+          if (!state.rng.bernoulli(r.phi))
+            informed_at[static_cast<std::size_t>(r.to)] = tx.time + tau;
         }
       }
     }
@@ -116,9 +140,10 @@ std::size_t run_trial_plain(const std::vector<core::Transmission>& txs,
 /// One trial with interference: only relays informed strictly before the
 /// group may transmit; a receiver in range of two or more of the group's
 /// active relays decodes nothing.
-std::size_t run_trial_interference(const std::vector<core::Transmission>& txs,
-                                   NodeId source, TrialState& state,
-                                   std::vector<Time>& informed_at) {
+std::size_t run_trial_interference(
+    const std::vector<core::Transmission>& txs,
+    const std::vector<std::vector<Reach>>& reach, NodeId source,
+    TrialState& state, std::vector<Time>& informed_at) {
   const core::Tveg& tveg = state.tveg;
   const Time tau = tveg.latency();
   const auto n = informed_at.size();
@@ -150,20 +175,17 @@ std::size_t run_trial_interference(const std::vector<core::Transmission>& txs,
     // Count concurrent signals per potential receiver.
     std::fill(heard.begin(), heard.end(), 0);
     for (std::size_t k : active)
-      for (NodeId j : tveg.graph().neighbors_at(txs[k].relay, t))
-        if (state.edge_alive(txs[k].relay, j))
-          ++heard[static_cast<std::size_t>(j)];
+      for (const Reach& r : reach[k])
+        if (state.edge_alive(r.edge)) ++heard[static_cast<std::size_t>(r.to)];
 
     for (std::size_t k : active) {
-      const core::Transmission& tx = txs[k];
-      for (NodeId j : tveg.graph().neighbors_at(tx.relay, t)) {
-        const auto ji = static_cast<std::size_t>(j);
-        if (!state.edge_alive(tx.relay, j)) continue;
+      for (const Reach& r : reach[k]) {
+        const auto ji = static_cast<std::size_t>(r.to);
+        if (!state.edge_alive(r.edge)) continue;
         if (heard[ji] >= 2) continue;  // collision
         if (informed_at[ji] <= t + tau) continue;
-        const double phi = tveg.failure_probability(tx.relay, j, t, tx.cost);
         ++state.draws;
-        if (!state.rng.bernoulli(phi)) informed_at[ji] = t + tau;
+        if (!state.rng.bernoulli(r.phi)) informed_at[ji] = t + tau;
       }
     }
     group_begin = group_end;
@@ -195,6 +217,7 @@ DeliveryStats simulate_delivery(const core::Tveg& tveg, NodeId source,
   std::atomic<std::size_t> total_draws{0};
 
   std::atomic<std::size_t> total_tx_faults{0};
+  const auto reach = reach_lists(tveg, txs, options.model_interference);
 
   auto trial = [&](std::size_t i) {
     obs::ScopedSpan trial_span("mc_trial");
@@ -207,8 +230,8 @@ DeliveryStats simulate_delivery(const core::Tveg& tveg, NodeId source,
     std::vector<Time> informed_at(static_cast<std::size_t>(tveg.node_count()));
     const std::size_t informed =
         options.model_interference
-            ? run_trial_interference(txs, source, state, informed_at)
-            : run_trial_plain(txs, source, state, informed_at);
+            ? run_trial_interference(txs, reach, source, state, informed_at)
+            : run_trial_plain(txs, reach, source, state, informed_at);
     ratios[i] = static_cast<double>(informed) / n;
     if (informed == static_cast<std::size_t>(tveg.node_count()))
       full_count.fetch_add(1, std::memory_order_relaxed);

@@ -322,6 +322,14 @@ std::string Verdict::json() const {
   return os.str();
 }
 
+std::vector<std::vector<Time>> dts_closure(const trace::ContactTrace& trace,
+                                           const Options& options,
+                                           bool& truncated) {
+  if (!(options.tau >= 0 && options.tau < trace.horizon()))
+    throw std::invalid_argument("tau must lie in [0, horizon)");
+  return Certifier(trace, options).build_dts(truncated);
+}
+
 std::vector<Transmission> parse_schedule(std::istream& in) {
   std::vector<Transmission> out;
   std::string line;

@@ -123,6 +123,16 @@ Verdict verify(const trace::ContactTrace& trace,
                const std::vector<Transmission>& schedule,
                const Options& options);
 
+/// The certifier's own DTS closure (Def. 5.2), the one condition (v) checks
+/// against: per node, the sorted adjacent-partition points and channel
+/// breakpoints of `trace`, closed under "+options.tau" propagation, built
+/// from the contact list alone. Sets `truncated` when a node reached
+/// options.max_dts_points_per_node. Throws std::invalid_argument when tau
+/// lies outside [0, horizon).
+std::vector<std::vector<Time>> dts_closure(const trace::ContactTrace& trace,
+                                           const Options& options,
+                                           bool& truncated);
+
 /// Strict, independent parser for the `# tveg-schedule` text format: one
 /// `<relay> <time> <cost>` triple per line, '#' comments and blank lines
 /// ignored. Rejects wrong arity, trailing garbage, non-numeric or

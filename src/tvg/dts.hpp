@@ -22,7 +22,8 @@ struct DtsOptions {
   /// Two time points closer than this are identified.
   double tolerance = 1e-9;
   /// Hard cap on points per node; construction records truncation instead of
-  /// running away on pathological τ/contact combinations.
+  /// running away on pathological τ/contact combinations. A truncated node
+  /// keeps its earliest points.
   std::size_t max_points_per_node = 50000;
   /// Additional per-node event points to seed with (e.g. channel-parameter
   /// breakpoints, so that every DTS interval also has a constant channel).
@@ -33,7 +34,10 @@ struct DtsOptions {
 /// The DTS D_V = {P_1^di, ..., P_N^di}: one sorted point vector per node.
 class DiscreteTimeSet {
  public:
-  /// Builds the DTS of `g` by fixpoint closure (Def. 5.2).
+  /// Builds the DTS of `g` by fixpoint closure (Def. 5.2), in one sweep over
+  /// the points in time order. Points within `tolerance` of each other are
+  /// one point: a node's seed (adjacent-partition or extra point) wins its
+  /// cluster, otherwise the earliest point does.
   static DiscreteTimeSet build(const TimeVaryingGraph& g,
                                const DtsOptions& options = {});
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
+
+#include "obs/keys.hpp"
+#include "obs/metrics.hpp"
 
 namespace tveg {
 namespace {
@@ -83,6 +87,50 @@ TEST(Dts, TruncationFlag) {
   const auto dts = DiscreteTimeSet::build(g, options);
   EXPECT_TRUE(dts.truncated());
   for (NodeId v = 0; v < 4; ++v) EXPECT_LE(dts.points(v).size(), 3u);
+}
+
+TEST(Dts, TruncationKeepsEarliestPoints) {
+  // One contact and τ = 1: the +τ cascade gives both nodes 0, 1, ..., 10,
+  // next to the seeds 9 (contact end - τ) and 20 (the horizon).
+  TimeVaryingGraph g(2, 20.0, 1.0);
+  g.add_contact(0, 1, 0.0, 10.0);
+  const auto full = DiscreteTimeSet::build(g);
+  ASSERT_FALSE(full.truncated());
+  ASSERT_EQ(full.points(0).size(), 12u);
+  DtsOptions options;
+  options.max_points_per_node = 4;
+  const auto capped = DiscreteTimeSet::build(g, options);
+  EXPECT_TRUE(capped.truncated());
+  // The cap keeps each node's earliest points, later seeds included.
+  for (NodeId v = 0; v < 2; ++v) {
+    const auto& pts = full.points(v);
+    EXPECT_EQ(capped.points(v), std::vector<Time>(pts.begin(), pts.begin() + 4));
+  }
+}
+
+TEST(Dts, CappedCascadeStaysBounded) {
+  // Six nodes in contact all along with τ = 0.01: uncapped, the +τ cascade
+  // would give every node a point every τ, 1e5 points each.
+  constexpr NodeId kNodes = 6;
+  constexpr std::size_t kCap = 100;
+  TimeVaryingGraph g(kNodes, 1000.0, 0.01);
+  for (NodeId a = 0; a < kNodes; ++a)
+    for (NodeId b = a + 1; b < kNodes; ++b) g.add_contact(a, b, 0.0, 1000.0);
+  DtsOptions options;
+  options.max_points_per_node = kCap;
+  obs::Counter& steps = obs::MetricsRegistry::global().counter(
+      obs::keys::kDtsClosureSteps);
+  const std::uint64_t before = steps.value();
+  const auto dts = DiscreteTimeSet::build(g, options);
+  EXPECT_TRUE(dts.truncated());
+  for (NodeId v = 0; v < kNodes; ++v) {
+    EXPECT_EQ(dts.points(v).size(), kCap);
+    EXPECT_LT(dts.points(v).back(), 1.0);  // the earliest τ-steps only
+  }
+  // Every pop is a seed (3 per node) or a push by an appended point, and an
+  // appended point pushes one event per neighbour.
+  const std::uint64_t bound = kNodes * (3 + kCap * (kNodes - 1));
+  EXPECT_LE(steps.value() - before, bound);
 }
 
 TEST(Dts, GlobalPointsSortedUnique) {
