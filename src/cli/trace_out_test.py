@@ -2,7 +2,8 @@
 
 A serial (--threads 0) FR-EEDCB run with 2000 Monte-Carlo trials must
 produce a Perfetto trace that still holds the dts_build span, splits Steiner
-into its steiner_terminal_sweep and steiner_density_scan sub-phases, whose
+into its steiner_terminal_sweep, steiner_density_scan,
+steiner_forward_dijkstra and steiner_finalize sub-phases, whose
 first span has non-zero length (the tracing epoch is pinned before it
 opens), and whose metrics report no span dropped to ring overflow.
 
@@ -32,7 +33,8 @@ def main():
                  if e["ph"] in ("B", "E")]
     opened = {e["name"] for e in spans if e["ph"] == "B"}
     for name in ("dts_build", "steiner_terminal_sweep",
-                 "steiner_density_scan"):
+                 "steiner_density_scan", "steiner_forward_dijkstra",
+                 "steiner_finalize"):
         if name not in opened:
             fail("no %s span in the trace" % name)
 

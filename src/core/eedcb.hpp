@@ -90,9 +90,10 @@ AuxGraph build_eedcb_aux(const TmedbInstance& instance,
 
 /// Runs the Steiner + extraction + prune tail of EEDCB over a prebuilt
 /// auxiliary graph and solver — the amortization point of solve_many(): one
-/// aux graph and one solver (with its Dijkstra-tree cache) serve every
-/// instance sharing a TVEG and deadline. `instance` may differ from the one
-/// the aux graph was built with in source / targets / ε / budget only.
+/// aux graph and one solver (with its SCC order and Dijkstra workspaces)
+/// serve every instance sharing a TVEG and deadline. `instance` may differ
+/// from the one the aux graph was built with in source / targets / ε /
+/// budget only.
 /// Produces the same schedule run_eedcb would.
 SchedulerResult run_eedcb_on_aux(const TmedbInstance& instance,
                                  const DiscreteTimeSet& dts,

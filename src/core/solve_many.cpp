@@ -83,8 +83,9 @@ std::vector<SolveOutcome> solve_many(const Tveg& tveg,
   std::size_t reused = 0;
   for (const Group& group : groups) {
     // One aux graph + solver per deadline; the graph is source-independent
-    // (AuxGraph::source_vertex_for) and the solver's Dijkstra-tree cache
-    // carries over between requests of the group without changing results.
+    // (AuxGraph::source_vertex_for), and the solver keeps only the graph's
+    // SCC order and its leased Dijkstra workspaces between requests of the
+    // group, so each request's result is what a fresh solver would return.
     // Built lazily: the first request to get this far pays for the build
     // under its own budget, so a failed build is that request's error and
     // the next request retries it.

@@ -136,12 +136,25 @@ ShortestPaths dijkstra(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
 }
 
 void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
+  dijkstra_scratch_nearest(g, src, ws, {}, 0, nullptr);
+}
+
+void dijkstra_scratch_nearest(
+    const Digraph& g, VertexId src, DijkstraWorkspace& ws,
+    std::span<const std::int32_t> target, std::size_t want,
+    std::vector<std::pair<double, std::int32_t>>* found) {
   const auto n = static_cast<std::size_t>(g.vertex_count());
   TVEG_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < n,
                "source vertex out of range");
+  TVEG_REQUIRE(target.empty() || (target.size() == n && found != nullptr),
+               "targets need one entry per vertex and a found list");
   ws.begin(n);
-  // The epoch-marked arrays cannot host the plain core loop (stale slots
-  // must read as +inf), so the relaxation test goes through the mark.
+  if (found != nullptr) found->clear();
+  // Distance of the want-th found target; popping past it ends the run.
+  double stop_above = support::kInf;
+  // The epoch-marked arrays cannot host the plain core loop, so the
+  // relaxation test reads an unmarked (stale) slot as +inf, as
+  // dijkstra_core's freshly filled arrays would.
   auto& heap = ws.heap_;
   heap.clear();
   const auto s = static_cast<std::size_t>(src);
@@ -154,12 +167,16 @@ void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
     std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
     heap.pop_back();
     if (d > ws.dist_[static_cast<std::size_t>(u)]) continue;
+    if (d > stop_above) break;
     ++ws.settled_;
+    if (!target.empty() && target[static_cast<std::size_t>(u)] >= 0) {
+      found->emplace_back(d, target[static_cast<std::size_t>(u)]);
+      if (found->size() == want) stop_above = d;
+    }
     for (const Arc& a : g.out(u)) {
       const auto t = static_cast<std::size_t>(a.to);
       const double nd = d + a.weight;
-      const bool fresh = ws.mark_[t] == ws.epoch_;
-      if (!fresh || nd < ws.dist_[t]) {
+      if (nd < (ws.mark_[t] == ws.epoch_ ? ws.dist_[t] : support::kInf)) {
         ws.dist_[t] = nd;
         ws.parent_[t] = u;
         ws.mark_[t] = ws.epoch_;

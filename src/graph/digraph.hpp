@@ -120,8 +120,10 @@ class DijkstraWorkspace {
  private:
   friend ShortestPaths dijkstra(const Digraph& g, VertexId src,
                                 DijkstraWorkspace& ws);
-  friend void dijkstra_scratch(const Digraph& g, VertexId src,
-                               DijkstraWorkspace& ws);
+  friend void dijkstra_scratch_nearest(
+      const Digraph& g, VertexId src, DijkstraWorkspace& ws,
+      std::span<const std::int32_t> target, std::size_t want,
+      std::vector<std::pair<double, std::int32_t>>* found);
 
   static constexpr double kInfDist = __builtin_huge_val();
 
@@ -160,7 +162,24 @@ ShortestPaths dijkstra(const Digraph& g, VertexId src, DijkstraWorkspace& ws);
 
 /// Allocation-free variant for scratch queries whose tree is consumed
 /// immediately: results live in `ws` (dist()/parent()) until its next run.
+/// Same pops, distances and parents as dijkstra().
 void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws);
+
+/// dijkstra_scratch stopped once the `want` nearest targets are settled.
+/// `target` is empty (no targets) or holds one entry per vertex, and
+/// `target[v] >= 0` marks v as a target; each settled target is appended to
+/// `found` as (dist, target[v]) in settle order, i.e. by non-decreasing
+/// distance. Before settling a popped vertex at distance d the run stops if
+/// `want` targets are found and d is strictly greater than the want-th
+/// one's distance, so every target tied with it is still settled. Up to the
+/// stop the run is dijkstra()'s, so each settled vertex has its final
+/// distance and the full run's parent; a vertex reached but not settled
+/// reads a tentative distance in `ws`. `found` is cleared first; want == 0
+/// never stops early.
+void dijkstra_scratch_nearest(
+    const Digraph& g, VertexId src, DijkstraWorkspace& ws,
+    std::span<const std::int32_t> target, std::size_t want,
+    std::vector<std::pair<double, std::int32_t>>* found);
 
 /// Vertex sequence src..dst from a ShortestPaths tree; empty if unreachable.
 std::vector<VertexId> extract_path(const ShortestPaths& sp, VertexId dst);

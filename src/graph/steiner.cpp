@@ -46,7 +46,22 @@ struct TreeBuilder {
       cur = p;
     }
   }
+
+  /// Adds every arc of the path source → dst in ws's last run's tree; dst
+  /// must be settled in that run (then so is every vertex on its path).
+  void add_path(const DijkstraWorkspace& ws, VertexId dst) {
+    VertexId cur = dst;
+    while (ws.parent(cur) != kNoVertex) {
+      const VertexId p = ws.parent(cur);
+      add_arc(p, cur, ws.dist(cur) - ws.dist(p));
+      cur = p;
+    }
+  }
 };
+
+/// The level-2 density scan skips a row whose density lower bound exceeds
+/// the incumbent density times this margin (see greedy_cover).
+constexpr double kDensityCutMargin = 1 + 1e-12;
 
 /// Converts an arbitrary selected subgraph into a clean arborescence: runs
 /// Dijkstra inside the subgraph from the root, keeps only arcs on the
@@ -56,6 +71,7 @@ SteinerResult finalize(const TreeBuilder& builder, VertexId root,
                        const std::vector<VertexId>& terminals,
                        VertexId vertex_count, Digraph& scratch,
                        DijkstraWorkspace& ws) {
+  obs::ScopedSpan span("steiner_finalize");
   scratch.reset(vertex_count);
   scratch.reserve_arcs(builder.arcs.size());
   for (const auto& [key, w] : builder.arcs)
@@ -91,9 +107,7 @@ SteinerResult finalize(const TreeBuilder& builder, VertexId root,
 }  // namespace
 
 SteinerSolver::SteinerSolver(const Digraph& g)
-    : g_(g),
-      forward_slot_(static_cast<std::size_t>(g.vertex_count()), -1),
-      ws_(acquire_workspace()) {}
+    : g_(g), ws_(acquire_workspace()) {}
 
 /// Clears per-query stats on entry to a public solver method and flushes
 /// them into the registry when the query finishes.
@@ -117,37 +131,40 @@ struct SteinerSolver::QueryScope {
   SteinerSolver& solver_;
 };
 
-void SteinerSolver::note_run(const ShortestPaths& sp) {
+void SteinerSolver::note_run(std::size_t settled, std::size_t relaxations) {
   ++stats_.dijkstra_runs;
-  stats_.nodes_expanded += sp.settled;
-  stats_.relaxations += sp.relaxations;
+  stats_.nodes_expanded += settled;
+  stats_.relaxations += relaxations;
 }
 
-const ShortestPaths& SteinerSolver::forward_from(VertexId v) {
-  const auto i = static_cast<std::size_t>(v);
-  std::int32_t slot = forward_slot_[i];
-  if (slot < 0) {
-    budget_.check("steiner");
-    slot = static_cast<std::int32_t>(forward_store_.size());
-    forward_store_.push_back(dijkstra(g_, v, *ws_));
-    forward_slot_[i] = slot;
-    note_run(forward_store_.back());
+const DijkstraWorkspace& SteinerSolver::forward_run(
+    VertexId source, DijkstraWorkspace& ws,
+    std::span<const std::int32_t> targets, std::size_t want) {
+  budget_.check("steiner");
+  {
+    obs::ScopedSpan span("steiner_forward_dijkstra");
+    dijkstra_scratch_nearest(g_, source, ws, targets, want, &bunch_);
   }
-  return forward_store_[static_cast<std::size_t>(slot)];
+  note_run(ws.settled(), ws.relaxations());
+  return ws;
 }
 
 SteinerResult SteinerSolver::shortest_path_heuristic(
     VertexId root, const std::vector<VertexId>& terminals) {
   const QueryScope scope(*this);
-  const ShortestPaths& sp = forward_from(root);
+  // The tree is read before finalize() reuses the workspace.
+  const DijkstraWorkspace& sp = forward_run(root, *ws_);
   TreeBuilder builder;
-  for (VertexId t : terminals)
-    if (t != root && sp.dist[static_cast<std::size_t>(t)] < kInf)
+  bool reaches_all = true;
+  for (VertexId t : terminals) {
+    if (sp.dist(t) == kInf)
+      reaches_all = false;
+    else if (t != root)
       builder.add_path(sp, t);
+  }
   SteinerResult result = finalize(builder, root, terminals, g_.vertex_count(),
                                   scratch_sub_, *ws_);
-  for (VertexId t : terminals)
-    if (sp.dist[static_cast<std::size_t>(t)] == kInf) result.feasible = false;
+  result.feasible = result.feasible && reaches_all;
   return result;
 }
 
@@ -159,21 +176,22 @@ struct SteinerSolver::GreedyState {
 
 void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
                                  std::size_t want) {
-  const ShortestPaths& sp = forward_from(v);
+  if (want == 0) return;
 
   if (level <= 1) {
-    // Level 1: the bunch — the `want` cheapest shortest paths v → terminal.
-    std::vector<std::pair<double, std::size_t>> cand;
-    for (std::size_t k = 0; k < state.terminals.size(); ++k) {
-      if (state.covered[k]) continue;
-      const double d = sp.dist[static_cast<std::size_t>(state.terminals[k])];
-      if (d < kInf) cand.push_back({d, k});
-    }
-    std::sort(cand.begin(), cand.end());
-    if (cand.size() > want) cand.resize(want);
-    for (const auto& [d, k] : cand) {
-      state.tree.add_path(sp, state.terminals[k]);
-      state.covered[k] = 1;
+    // Level 1: the bunch — the `want` cheapest shortest paths v → uncovered
+    // terminal, ties by terminal index. The run stops once the want-th
+    // nearest uncovered terminal and every terminal tied with it are
+    // settled: the settled prefix is the full run's, so the (d, k) order of
+    // the candidates and the arcs of their paths are the full run's too.
+    const DijkstraWorkspace& ws = forward_run(v, *ws_, term_slot_, want);
+    std::sort(bunch_.begin(), bunch_.end());
+    if (bunch_.size() > want) bunch_.resize(want);
+    for (const auto& [d, k] : bunch_) {
+      const VertexId t = state.terminals[static_cast<std::size_t>(k)];
+      state.tree.add_path(ws, t);
+      state.covered[static_cast<std::size_t>(k)] = 1;
+      term_slot_[static_cast<std::size_t>(t)] = -1;
     }
     return;
   }
@@ -181,6 +199,11 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
   // Level >= 2: repeatedly pick the intermediate root u and count k' whose
   // level-1 bunch has the best density estimate
   //   (dist(v→u) + Σ k'-cheapest dist(u→terminal)) / k'.
+  // The level-2 root's full tree stays in root_ws_ while the bunches below
+  // it run on ws_. Leased on the first level-2 query: an SPT or level-1
+  // solver never grows a second workspace.
+  if (!root_ws_) root_ws_ = acquire_workspace();
+  const DijkstraWorkspace& sp = forward_run(v, *root_ws_);
   std::size_t remaining = want;
   const std::size_t kTerms = term_count_;
   while (remaining > 0) {
@@ -202,9 +225,10 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
       support::Budget::Poller poller(budget_, "steiner_density_scan");
       for (VertexId u = lo; u < hi; ++u) {
         poller.poll();
-        const double to_u = sp.dist[static_cast<std::size_t>(u)];
+        const double to_u = sp.dist(u);
         if (to_u == kInf) continue;
         dists.clear();
+        double row_min = kInf;
         // dist_to_term_ is terminal-major: the k loop walks one contiguous
         // row of the matrix.
         const double* row = dist_to_term_.data() +
@@ -212,10 +236,22 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
         for (std::size_t k = 0; k < kTerms; ++k) {
           if (state.covered[k]) continue;
           const double d = row[k];
-          if (d < kInf) dists.push_back(d);
+          if (d < kInf) {
+            dists.push_back(d);
+            row_min = std::min(row_min, d);
+          }
         }
         if (dists.empty()) continue;
         const std::size_t take = std::min(remaining, dists.size());
+        // Each density (to_u + Σ k' entries) / k' with k' <= take is at
+        // least row_min + to_u / take. A row whose bound exceeds the
+        // incumbent by the margin can neither beat nor tie it under the
+        // strict < below: the margin dwarfs the rounding of a sum of at
+        // most kTerms doubles (relative error < kTerms · 2^-53). Skipping
+        // it leaves the winner unchanged.
+        if (row_min + to_u / static_cast<double>(take) >
+            best.density * kDensityCutMargin)
+          continue;
         std::partial_sort(dists.begin(),
                           dists.begin() + static_cast<std::ptrdiff_t>(take),
                           dists.end());
@@ -283,6 +319,20 @@ SteinerResult SteinerSolver::recursive_greedy(
     if (t != root && seen.insert(t).second) state.terminals.push_back(t);
   state.covered.assign(state.terminals.size(), 0);
 
+  // term_slot_ marks the uncovered terminals for the bunch runs; cleared on
+  // every exit (a budget expiry throws mid-query).
+  term_slot_.resize(static_cast<std::size_t>(g_.vertex_count()), -1);
+  struct SlotMarks {
+    std::vector<std::int32_t>& slot;
+    const std::vector<VertexId>& terminals;
+    ~SlotMarks() {
+      for (VertexId t : terminals) slot[static_cast<std::size_t>(t)] = -1;
+    }
+  } const marks{term_slot_, state.terminals};
+  for (std::size_t k = 0; k < state.terminals.size(); ++k)
+    term_slot_[static_cast<std::size_t>(state.terminals[k])] =
+        static_cast<std::int32_t>(k);
+
   // dist(u → terminal) for every u, which only the level-2 density scan
   // reads: one sweep over the graph's SCCs, whose order is computed on the
   // first such query and kept for the solver's lifetime.
@@ -345,7 +395,8 @@ SteinerResult SteinerSolver::exact_small(
       sp[v] = dijkstra(g_, static_cast<VertexId>(v), *ws_);
     }
   }
-  for (std::size_t v = 0; v < n; ++v) note_run(sp[v]);
+  for (std::size_t v = 0; v < n; ++v)
+    note_run(sp[v].settled, sp[v].relaxations);
   auto dist = [&](std::size_t v, std::size_t u) { return sp[v].dist[u]; };
 
   const std::size_t full = (std::size_t{1} << k) - 1;

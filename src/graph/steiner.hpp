@@ -15,15 +15,17 @@
 //    ground truth for tests and for the approximation-ratio benches.
 //
 // Memory layout (DESIGN.md "Data layout & hot-path memory"): all per-query
-// state is dense and index-addressed — the forward-tree cache is a slot
-// array into a stable deque, terminal distances live in one flat
+// state is dense and index-addressed — terminal distances live in one flat
 // terminal-major matrix filled by one SCC-ordered sweep (graph/
-// terminal_sweep.hpp), and every Dijkstra runs on a pooled workspace — so
-// repeated queries against one solver allocate nothing in steady state.
+// terminal_sweep.hpp), and every Dijkstra runs on a workspace the solver
+// leases for its lifetime (a second one holds a level-2 root's full tree
+// while the early-stopped bunch runs beneath it use the first) — so the
+// Dijkstra and sweep buffers of repeated queries are reused, not
+// reallocated.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,10 +52,10 @@ struct SteinerResult {
   bool feasible = false;
 };
 
-/// Directed Steiner solver bound to one digraph; caches single-source
-/// shortest-path trees, and the graph's SCC order, across queries. Not
-/// thread-safe: one query at a time. Construction freezes the graph (CSR
-/// form) — do not mutate it afterwards.
+/// Directed Steiner solver bound to one digraph. Each query computes its
+/// own shortest-path trees; only the graph's SCC order is kept across
+/// queries. Not thread-safe: one query at a time. Construction freezes the
+/// graph (CSR form) — do not mutate it afterwards.
 class SteinerSolver {
  public:
   explicit SteinerSolver(const Digraph& g);
@@ -97,12 +99,15 @@ class SteinerSolver {
   bool validate(const SteinerResult& r, VertexId root,
                 const std::vector<VertexId>& terminals) const;
 
-  /// Work counters of the most recent solver query (cached Dijkstra trees
-  /// and the cached SCC order count no work twice). Also accumulated into
-  /// the global metrics registry under tveg.steiner.*.
+  /// Work counters of the most recent solver query (the SCC order, kept
+  /// across queries, counts no work twice). Also accumulated into the
+  /// global metrics registry under tveg.steiner.*.
   struct QueryStats {
-    std::size_t dijkstra_runs = 0;  ///< forward Dijkstras; the sweep adds 0
-    /// Dijkstra settles plus terminal-sweep vertex visits (all passes).
+    /// Forward Dijkstras: the query root's full run, plus one early-stopped
+    /// run per level-1 bunch (finalize's cleanup run and the sweep add 0).
+    std::size_t dijkstra_runs = 0;
+    /// Dijkstra settles (a bunch counts only those before its stop) plus
+    /// terminal-sweep vertex visits (all passes).
     std::size_t nodes_expanded = 0;
     /// Dijkstra distance improvements plus lowered sweep matrix entries.
     std::size_t relaxations = 0;
@@ -110,9 +115,14 @@ class SteinerSolver {
   const QueryStats& last_query_stats() const { return stats_; }
 
  private:
-  const ShortestPaths& forward_from(VertexId v);
-  /// Accounts a freshly computed shortest-path tree to the current query.
-  void note_run(const ShortestPaths& sp);
+  /// One budget-checked, spanned and counted forward Dijkstra from `source`
+  /// in `ws`: the full tree, or with `targets` a bunch run stopped at the
+  /// `want`-th nearest target (its settled targets land in bunch_).
+  const DijkstraWorkspace& forward_run(
+      VertexId source, DijkstraWorkspace& ws,
+      std::span<const std::int32_t> targets = {}, std::size_t want = 0);
+  /// Accounts one Dijkstra run to the current query.
+  void note_run(std::size_t settled, std::size_t relaxations);
   /// Resets per-query stats; flushes them to the registry on destruction.
   struct QueryScope;
 
@@ -133,16 +143,21 @@ class SteinerSolver {
                     std::size_t want);
 
   const Digraph& g_;
-  /// Forward-tree cache: forward_slot_[v] indexes forward_store_, -1 when
-  /// absent. A deque so cached trees keep stable addresses while
-  /// greedy_cover holds references across recursive inserts.
-  std::vector<std::int32_t> forward_slot_;
-  std::deque<ShortestPaths> forward_store_;
+  /// term_slot_[v] = k while v is the current recursive_greedy query's
+  /// uncovered terminal k, else -1: the targets of the bunch runs. Sized on
+  /// the first recursive_greedy query.
+  std::vector<std::int32_t> term_slot_;
+  /// The settled targets of the last forward_run, as (dist, k).
+  std::vector<std::pair<double, std::int32_t>> bunch_;
   /// Reusable scratch for finalize()'s subgraph cleanup pass.
   Digraph scratch_sub_;
-  /// This solver's serial-phase workspace, leased for the solver lifetime;
-  /// parallel phases lease per-task workspaces from the same pool.
+  /// This solver's serial-phase workspaces, leased for the solver lifetime:
+  /// ws_ for the SPT root's tree, bunch runs and finalize; root_ws_, leased
+  /// on the first level-2 query, for the level-2 root's tree, which outlives
+  /// the bunch runs beneath it. Parallel phases lease per-task workspaces
+  /// from the same pool.
   WorkspaceHandle ws_;
+  WorkspaceHandle root_ws_;
 };
 
 }  // namespace tveg::graph

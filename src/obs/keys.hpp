@@ -54,8 +54,13 @@ inline constexpr char kGraphFrozenArcs[] = "tveg.graph.frozen_arcs";
 
 // -- graph/steiner ----------------------------------------------------------
 inline constexpr char kSteinerQueries[] = "tveg.steiner.queries";
+/// Forward Dijkstras: each query's root run plus one early-stopped run per
+/// level-1 bunch; a repeated query repeats them (no tree is cached).
 inline constexpr char kSteinerDijkstraRuns[] = "tveg.steiner.dijkstra_runs";
+/// Dijkstra settles (a bunch counts those before its stop) plus
+/// terminal-sweep vertex visits.
 inline constexpr char kSteinerNodesExpanded[] = "tveg.steiner.nodes_expanded";
+/// Dijkstra distance improvements plus lowered sweep matrix entries.
 inline constexpr char kSteinerRelaxations[] = "tveg.steiner.relaxations";
 inline constexpr char kSteinerHeapAcquires[] = "tveg.steiner.heap.acquires";
 inline constexpr char kSteinerHeapReuses[] = "tveg.steiner.heap.reuses";

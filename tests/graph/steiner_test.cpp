@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace tveg::graph {
 namespace {
@@ -48,6 +52,64 @@ TEST(SteinerGreedyLevel2, FindsSharedBroadcastVertex) {
   EXPECT_TRUE(solver.validate(r, s.root, s.terminals));
   // Density of the shared vertex is 10/3 < 6 → the greedy must pick it.
   EXPECT_DOUBLE_EQ(r.cost, 10.0);
+}
+
+/// A level-1 bunch with want = 1 whose two uncovered terminals tie at
+/// distance 5. Terminal index 0 is vertex 2 and index 1 is vertex 1, so
+/// Dijkstra settles index 1 first (heap ties pop the lower vertex id). The
+/// run must still settle the tied vertex 2 before stopping, so the bunch's
+/// (distance, terminal index) order picks index 0.
+TEST(SteinerBunch, TiedTerminalsSettleAndLowerIndexWins) {
+  Digraph g(4);
+  g.add_arc(0, 1, 5.0);
+  g.add_arc(0, 2, 5.0);
+  g.add_arc(0, 3, 9.0);
+  g.freeze();
+  const std::vector<std::int32_t> target{-1, 1, 0, -1};
+  DijkstraWorkspace ws;
+  std::vector<std::pair<double, std::int32_t>> found;
+  dijkstra_scratch_nearest(g, 0, ws, target, 1, &found);
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0].second, 1);  // settle order: vertex 1 first
+  EXPECT_EQ(found[1].second, 0);
+  EXPECT_EQ(ws.settled(), 3u);  // 0, 1, 2; the pop of 3 at 9 stops the run
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found.front().second, 0);
+
+  // The level-2 solve runs that bunch twice from the root (each covers one
+  // terminal at density 5): 4 sweep visits, 4 root settles, 3 + 3 bunch
+  // settles.
+  SteinerSolver solver(g);
+  const SteinerResult r = solver.recursive_greedy(0, {2, 1}, 2);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_DOUBLE_EQ(r.cost, 10.0);
+  EXPECT_EQ(solver.last_query_stats().dijkstra_runs, 3u);
+  EXPECT_EQ(solver.last_query_stats().nodes_expanded, 4u + 4u + 3u + 3u);
+}
+
+/// The density scan's row bound must be sound. Hub 1 costs 10 to reach and
+/// reaches both terminals at 1 each: density (10 + 1 + 1) / 2 = 6. The root
+/// reaches each terminal directly at 8, so the earlier vertex 0 holds the
+/// incumbent 8 when the scan reaches vertex 1. The unsound cut
+/// dist(root→u) + row_min(u) = 11 >= 8 would skip the hub; row_min(u) +
+/// dist(root→u) / k' = 6 <= 8 must not.
+TEST(SteinerGreedyLevel2, DensityCutKeepsLaterCheaperHub) {
+  Digraph g(4);
+  g.add_arc(0, 2, 8.0);
+  g.add_arc(0, 3, 8.0);
+  g.add_arc(0, 1, 10.0);
+  g.add_arc(1, 2, 1.0);
+  g.add_arc(1, 3, 1.0);
+  SteinerSolver solver(g);
+  const std::vector<VertexId> terminals{2, 3};
+  const SteinerResult r = solver.recursive_greedy(0, terminals, 2);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_TRUE(solver.validate(r, 0, terminals));
+  EXPECT_DOUBLE_EQ(r.cost, 12.0);  // 0→1→{2, 3}, not 8 + 8
+  ASSERT_EQ(r.arcs.size(), 3u);
+  EXPECT_TRUE(std::any_of(r.arcs.begin(), r.arcs.end(), [](const auto& a) {
+    return a.from == 0 && a.to == 1;
+  }));
 }
 
 TEST(SteinerExact, MatchesKnownOptimum) {

@@ -125,9 +125,10 @@ TEST(TerminalSweep, ZeroBudgetThrows) {
                support::TimeoutError);
 }
 
-/// Level-2 greedy reads the sweep, not reverse Dijkstras: a repeated query
-/// on one solver finds every forward tree (and the SCC order) cached, so
-/// it runs no Dijkstra at all but still counts the sweep's visits.
+/// Level-2 greedy reads the sweep, not reverse Dijkstras: its Dijkstra runs
+/// are the forward ones — the root's full tree plus one early-stopped run
+/// per level-1 bunch — and a repeated query on one solver repeats them (no
+/// tree is cached; only the SCC order is).
 TEST(TerminalSweep, GreedyCountsSweepWorkAndNoDijkstra) {
   Digraph g(6);
   g.add_arc(0, 1, 1.0);
@@ -144,16 +145,26 @@ TEST(TerminalSweep, GreedyCountsSweepWorkAndNoDijkstra) {
   const SteinerSolver::QueryStats warm = solver.last_query_stats();
   EXPECT_TRUE(first.feasible);
   EXPECT_DOUBLE_EQ(again.cost, first.cost);
-  EXPECT_GT(cold.dijkstra_runs, 0u);
-  EXPECT_EQ(warm.dijkstra_runs, 0u);
+  // Root 0's full run, the bunch from 1 covering {3, 4} (density 2.5), then
+  // the bunch from 0 covering 5.
+  EXPECT_EQ(cold.dijkstra_runs, 3u);
+  EXPECT_EQ(warm.dijkstra_runs, 3u);
   // 4 singleton visits + 3 passes over the SCC {1, 2}, visited 2 then 1:
-  // 2 learns dist to 3 only in the second pass, the third confirms.
-  EXPECT_EQ(warm.nodes_expanded, 10u);
+  // 2 learns dist to 3 only in the second pass, the third confirms. Then 6
+  // settles for the root run, 4 for the bunch from 1 (it stops with the
+  // heap empty) and 6 for the bunch from 0 (5 is the last vertex settled).
+  EXPECT_EQ(warm.nodes_expanded, 10u + 6u + 4u + 6u);
+  EXPECT_EQ(cold.nodes_expanded, warm.nodes_expanded);
   EXPECT_GT(warm.relaxations, 0u);
+  EXPECT_EQ(cold.relaxations, warm.relaxations);
 
-  // Level 1 reads only forward trees: no sweep work at all.
-  solver.recursive_greedy(0, terminals, 1);
-  EXPECT_EQ(solver.last_query_stats().nodes_expanded, 0u);
+  // Level 1 reads only forward trees: no sweep work, one bunch run. Its
+  // want-th terminal 3 settles at distance 3; 4, tied at 3, still settles,
+  // and the run stops before settling 5 at 7.
+  const SteinerResult near = solver.recursive_greedy(0, {3}, 1);
+  EXPECT_TRUE(near.feasible);
+  EXPECT_EQ(solver.last_query_stats().dijkstra_runs, 1u);
+  EXPECT_EQ(solver.last_query_stats().nodes_expanded, 5u);
 }
 
 }  // namespace
