@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI driver, seven stages:
+# CI driver, eight stages:
 #   plain  build (TVEG_WERROR=ON: -Werror + the hardened -Wconversion
 #          -Wdouble-promotion -Wnon-virtual-dtor tier) + full test suite
 #   obs    observability end-to-end: a threaded sweep with --trace-out and
@@ -13,6 +13,10 @@
 #          this script's build-ci tree via TVEG_LINT_BUILD_DIR, so it adds
 #          two tool links to an incremental build instead of a second
 #          configure-from-scratch.
+#   perfbench  perfbench/ (a separate project that compiles src/ by glob
+#          and calls internal API no other target links) built and each
+#          workload run once for a second with the per-layer trace on; a
+#          build failure or a run reporting correct: false fails the stage
 #   fuzz   scripts/fuzz.sh smoke: coverage-guided libFuzzer for a short
 #          budget when clang is available, pinned-corpus replay through
 #          the plain build's replay drivers otherwise
@@ -29,9 +33,9 @@
 #          re-run on the TSan build
 #
 # Usage: scripts/ci.sh [--fast] [--bench]
-#   --fast   plain build + ctest + lint.sh --lint-only (skips obs, the
-#            clang-tidy/thread-safety lint layers, the fuzz smoke, and the
-#            sanitizer and soak tiers — but never tveg-lint or
+#   --fast   plain build + ctest + lint.sh --lint-only (skips obs,
+#            perfbench, the clang-tidy/thread-safety lint layers, the fuzz
+#            smoke, and the sanitizer and soak tiers — but never tveg-lint or
 #            tveg-analyze: the project invariant checkers gate every speed
 #            setting; the fuzz.corpus_replay ctests still ran with the
 #            plain suite)
@@ -178,6 +182,17 @@ drive_soak() {
   ctest --test-dir "${tsan_dir}" --output-on-failure -R 'CancelStorm|Govern'
 }
 
+drive_perfbench() {
+  # run.py builds perfbench into .bench_build/ and exits non-zero on a
+  # build failure or a run whose checks report correct: false.
+  echo "==== [perfbench] build + one 1 s traced run per workload ===="
+  local workload
+  for workload in sweep-greedy cold-spt fading-fr; do
+    python3 "${REPO_ROOT}/perfbench/run.py" --workload "${workload}" \
+        --seed 1 --seconds 1 --trace 1 > /dev/null
+  done
+}
+
 run_suite "plain" "${REPO_ROOT}/build-ci" -DTVEG_WERROR=ON
 
 drive_fuzz() {
@@ -196,6 +211,7 @@ if [[ "${FAST}" -eq 1 ]]; then
       "${REPO_ROOT}/scripts/lint.sh" --lint-only
 else
   drive_obs "${REPO_ROOT}/build-ci"
+  drive_perfbench
   drive_fuzz
   echo "==== [lint] scripts/lint.sh ===="
   TVEG_LINT_BUILD_DIR="${REPO_ROOT}/build-ci" "${REPO_ROOT}/scripts/lint.sh"

@@ -116,18 +116,4 @@ Cost RicianEdFunction::min_cost_for(double target_failure) const {
   return bisect_min_cost(*this, target_failure, beta_);
 }
 
-const char* channel_model_name(ChannelModel model) {
-  switch (model) {
-    case ChannelModel::kStep:
-      return "step";
-    case ChannelModel::kRayleigh:
-      return "rayleigh";
-    case ChannelModel::kNakagami:
-      return "nakagami";
-    case ChannelModel::kRician:
-      return "rician";
-  }
-  return "unknown";
-}
-
 }  // namespace tveg::channel

@@ -111,7 +111,4 @@ enum class ChannelModel {
   kRician,    ///< Rician fading (extension)
 };
 
-/// Human-readable channel-model name ("step", "rayleigh", ...).
-const char* channel_model_name(ChannelModel model);
-
 }  // namespace tveg::channel

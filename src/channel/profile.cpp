@@ -32,18 +32,4 @@ std::vector<Time> PiecewiseConstantProfile::breakpoints() const {
   return out;
 }
 
-double PiecewiseConstantProfile::min_value() const {
-  TVEG_REQUIRE(!samples_.empty(), "min of an empty profile");
-  double m = samples_.front().value;
-  for (const auto& s : samples_) m = std::min(m, s.value);
-  return m;
-}
-
-double PiecewiseConstantProfile::max_value() const {
-  TVEG_REQUIRE(!samples_.empty(), "max of an empty profile");
-  double m = samples_.front().value;
-  for (const auto& s : samples_) m = std::max(m, s.value);
-  return m;
-}
-
 }  // namespace tveg::channel

@@ -41,10 +41,6 @@ class PiecewiseConstantProfile {
   /// change) — these are the partition breakpoints.
   std::vector<Time> breakpoints() const;
 
-  /// Smallest and largest values over all samples.
-  double min_value() const;
-  double max_value() const;
-
  private:
   struct Sample {
     Time t;

@@ -57,54 +57,6 @@ double regularized_gamma_p(double a, double x) {
   return 1.0 - gamma_q_continued_fraction(a, x);
 }
 
-double regularized_gamma_q(double a, double x) {
-  return 1.0 - regularized_gamma_p(a, x);
-}
-
-double bessel_i0(double x) {
-  x = std::fabs(x);
-  if (x < 15.0) {
-    // Power series: I0(x) = Σ (x/2)^{2k} / (k!)^2.
-    const double y = x * x / 4.0;
-    double term = 1.0;
-    double sum = 1.0;
-    for (int k = 1; k < kMaxIterations; ++k) {
-      term *= y / (static_cast<double>(k) * static_cast<double>(k));
-      sum += term;
-      if (term < sum * kEpsilon) break;
-    }
-    return sum;
-  }
-  // Asymptotic expansion for large argument.
-  const double inv8x = 1.0 / (8.0 * x);
-  const double series =
-      1.0 + inv8x * (1.0 + inv8x * (4.5 + inv8x * 37.5));
-  return std::exp(x) / std::sqrt(2.0 * M_PI * x) * series;
-}
-
-double bessel_i1(double x) {
-  const double ax = std::fabs(x);
-  double result;
-  if (ax < 15.0) {
-    // I1(x) = (x/2) Σ (x²/4)^k / (k! (k+1)!).
-    const double y = ax * ax / 4.0;
-    double term = 1.0;
-    double sum = 1.0;
-    for (int k = 1; k < kMaxIterations; ++k) {
-      term *= y / (static_cast<double>(k) * static_cast<double>(k + 1));
-      sum += term;
-      if (term < sum * kEpsilon) break;
-    }
-    result = ax / 2.0 * sum;
-  } else {
-    const double inv8x = 1.0 / (8.0 * ax);
-    const double series =
-        1.0 - inv8x * (3.0 + inv8x * (7.5 + inv8x * 52.5));
-    result = std::exp(ax) / std::sqrt(2.0 * M_PI * ax) * series;
-  }
-  return x < 0 ? -result : result;
-}
-
 double marcum_q1(double a, double b) {
   TVEG_REQUIRE(a >= 0 && b >= 0, "Marcum Q arguments must be non-negative");
   if (b == 0.0) return 1.0;

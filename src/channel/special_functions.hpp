@@ -11,15 +11,6 @@ namespace tveg::channel {
 /// absolute accuracy ~1e-12.
 double regularized_gamma_p(double a, double x);
 
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-double regularized_gamma_q(double a, double x);
-
-/// Modified Bessel function of the first kind, order 0.
-double bessel_i0(double x);
-
-/// Modified Bessel function of the first kind, order 1.
-double bessel_i1(double x);
-
 /// First-order Marcum Q function Q1(a, b) = P(X > b) for a Rician envelope;
 /// computed by the canonical series with numerically-stable term recurrence.
 double marcum_q1(double a, double b);

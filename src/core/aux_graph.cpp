@@ -215,26 +215,6 @@ std::vector<graph::VertexId> AuxGraph::terminals_for(
   return out;
 }
 
-graph::VertexId AuxGraph::node_vertex(NodeId i, std::size_t l) const {
-  const auto idx = static_cast<std::size_t>(i);
-  TVEG_REQUIRE(idx < point_offset_.size() - 1, "node id out of range");
-  TVEG_REQUIRE(l < point_count_raw(idx), "DTS point index out of range");
-  return static_cast<graph::VertexId>(point_offset_[idx] + l);
-}
-
-std::size_t AuxGraph::point_count(NodeId i) const {
-  const auto idx = static_cast<std::size_t>(i);
-  TVEG_REQUIRE(idx < point_offset_.size() - 1, "node id out of range");
-  return point_count_raw(idx);
-}
-
-Time AuxGraph::point_time(NodeId i, std::size_t l) const {
-  const auto idx = static_cast<std::size_t>(i);
-  TVEG_REQUIRE(idx < point_offset_.size() - 1, "node id out of range");
-  TVEG_REQUIRE(l < point_count_raw(idx), "DTS point index out of range");
-  return point_times_[point_offset_[idx] + l];
-}
-
 Schedule AuxGraph::extract_schedule(const graph::SteinerResult& tree) const {
   Schedule schedule;
   // Power vertices decode arithmetically: any arc head >= first_power_ is a

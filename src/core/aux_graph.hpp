@@ -78,13 +78,6 @@ class AuxGraph {
   std::vector<graph::VertexId> terminals_for(
       const TmedbInstance& instance) const;
 
-  /// Vertex u_{i,l}; l indexes the node's clipped DTS points.
-  graph::VertexId node_vertex(NodeId i, std::size_t l) const;
-  /// Number of clipped DTS points of node i.
-  std::size_t point_count(NodeId i) const;
-  /// Time of point l of node i.
-  Time point_time(NodeId i, std::size_t l) const;
-
   /// First power-vertex id: every vertex v >= this is a power vertex
   /// x_{i,l,k}, every v < this is a node vertex u_{i,l}.
   graph::VertexId first_power_vertex() const { return first_power_; }

@@ -33,13 +33,6 @@ struct Action {
 }  // namespace
 
 SchedulerResult run_baseline(const TmedbInstance& instance,
-                             const BaselineOptions& options) {
-  instance.validate();
-  const DiscreteTimeSet dts = instance.tveg->build_dts(options.dts);
-  return run_baseline(instance, dts, options);
-}
-
-SchedulerResult run_baseline(const TmedbInstance& instance,
                              const DiscreteTimeSet& dts,
                              const BaselineOptions& options) {
   instance.validate();

@@ -32,14 +32,10 @@ struct BaselineOptions {
   BaselineRule rule = BaselineRule::kGreedy;
   /// Seed for kRandom.
   std::uint64_t seed = 1;
-  DtsOptions dts;
 };
 
-/// Runs GREED or RAND on `instance`.
-SchedulerResult run_baseline(const TmedbInstance& instance,
-                             const BaselineOptions& options = {});
-
-/// As above over a caller-provided DTS (sweeps reuse one DTS).
+/// Runs GREED or RAND on `instance` over a caller-provided DTS (sweeps reuse
+/// one DTS).
 SchedulerResult run_baseline(const TmedbInstance& instance,
                              const DiscreteTimeSet& dts,
                              const BaselineOptions& options = {});

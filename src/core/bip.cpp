@@ -30,13 +30,6 @@ struct Slot {
 }  // namespace
 
 SchedulerResult run_bip(const TmedbInstance& instance,
-                        const BipOptions& options) {
-  instance.validate();
-  const DiscreteTimeSet dts = instance.tveg->build_dts(options.dts);
-  return run_bip(instance, dts, options);
-}
-
-SchedulerResult run_bip(const TmedbInstance& instance,
                         const DiscreteTimeSet& dts, const BipOptions& options) {
   instance.validate();
   options.budget.check("bip");

@@ -21,18 +21,14 @@ namespace tveg::core {
 
 /// Options for temporal BIP.
 struct BipOptions {
-  DtsOptions dts;
   /// Unified solve budget, polled once per grown node; expiry raises
   /// support::TimeoutError, a fired cancel token support::CancelledError.
   /// Default: unlimited, non-cancellable.
   support::Budget budget;
 };
 
-/// Runs temporal BIP on `instance` (broadcast-only, like the baselines).
-SchedulerResult run_bip(const TmedbInstance& instance,
-                        const BipOptions& options = {});
-
-/// As above over a caller-provided DTS.
+/// Runs temporal BIP on `instance` (broadcast-only, like the baselines) over
+/// a caller-provided DTS.
 SchedulerResult run_bip(const TmedbInstance& instance,
                         const DiscreteTimeSet& dts,
                         const BipOptions& options = {});

@@ -123,13 +123,6 @@ FrResult run_fr_eedcb(const TmedbInstance& instance,
 }
 
 FrResult run_fr_baseline(const TmedbInstance& instance,
-                         const BaselineOptions& baseline_options,
-                         const AllocationOptions& allocation_options) {
-  const DiscreteTimeSet dts = instance.tveg->build_dts(baseline_options.dts);
-  return run_fr_baseline(instance, dts, baseline_options, allocation_options);
-}
-
-FrResult run_fr_baseline(const TmedbInstance& instance,
                          const DiscreteTimeSet& dts,
                          const BaselineOptions& baseline_options,
                          const AllocationOptions& allocation_options) {

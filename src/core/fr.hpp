@@ -44,18 +44,16 @@ FrResult run_fr_eedcb(const TmedbInstance& instance,
                       const AllocationOptions& allocation_options = {},
                       const FrOptions& fr_options = {});
 
-/// FR-GREED / FR-RAND: baseline backbone + NLP allocation (no refinement —
-/// the paper's baselines are backbone + NLP only).
-FrResult run_fr_baseline(const TmedbInstance& instance,
-                         const BaselineOptions& baseline_options = {},
-                         const AllocationOptions& allocation_options = {});
-
-/// Variants over a caller-provided DTS.
+/// FR-EEDCB over a caller-provided DTS.
 FrResult run_fr_eedcb(const TmedbInstance& instance,
                       const DiscreteTimeSet& dts,
                       const EedcbOptions& eedcb_options = {},
                       const AllocationOptions& allocation_options = {},
                       const FrOptions& fr_options = {});
+
+/// FR-GREED / FR-RAND over a caller-provided DTS: baseline backbone + NLP
+/// allocation (no refinement — the paper's baselines are backbone + NLP
+/// only).
 FrResult run_fr_baseline(const TmedbInstance& instance,
                          const DiscreteTimeSet& dts,
                          const BaselineOptions& baseline_options = {},

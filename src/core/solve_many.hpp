@@ -2,12 +2,12 @@
 //
 // A sweep (benchmark panel, Monte-Carlo study, CLI batch) solves many
 // instances over ONE TVEG that differ only in source / deadline / targets /
-// ε / budget. Solving them independently rebuilds the DTS, the auxiliary
-// graph, and the Steiner solver's shortest-path trees from scratch each
-// time, although all three depend only on (TVEG, dts options, deadline).
-// solve_many() amortizes them: one DTS for the whole batch, one auxiliary
-// graph + SteinerSolver per distinct deadline (the solver's Dijkstra-tree
-// cache then serves every request of the group). Results are byte-identical
+// ε / budget. Solving them independently rebuilds the DTS and the auxiliary
+// graph from scratch each time, although both depend only on (TVEG, dts
+// options, deadline). solve_many() amortizes them: one DTS for the whole
+// batch, one auxiliary graph + SteinerSolver per distinct deadline (the
+// solver keeps the graph's SCC order and its workspaces, not its shortest-
+// path trees, across the requests of the group). Results are byte-identical
 // to calling run_eedcb once per request — the shared tail is the same
 // run_eedcb_on_aux code path (tests/diff pins this).
 //

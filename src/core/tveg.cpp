@@ -42,12 +42,6 @@ std::size_t Tveg::edge_of(NodeId a, NodeId b) const {
   return graph_.edge_id(a, b);
 }
 
-double Tveg::distance(NodeId a, NodeId b, Time t) const {
-  const std::size_t e = edge_of(a, b);
-  TVEG_REQUIRE(e != npos, "pair has no contacts");
-  return distance_[e].at(t);
-}
-
 std::unique_ptr<channel::EdFunction> Tveg::ed_function(NodeId a, NodeId b,
                                                        Time t) const {
   TVEG_REQUIRE(graph_.adjacent(a, b, t), "pair not adjacent at t");

@@ -53,9 +53,6 @@ class Tveg {
   Time horizon() const { return graph_.horizon(); }
   Time latency() const { return options_.tau; }
 
-  /// Distance between a and b at time t (last profile sample at or before t).
-  double distance(NodeId a, NodeId b, Time t) const;
-
   /// φ_t^{e_{a,b}}(w): failure probability of a transmission a→b starting at
   /// t with cost w. Returns 1 when the pair is not adjacent (Property
   /// 3.1(iii) together with ρ_τ).

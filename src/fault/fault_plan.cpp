@@ -84,12 +84,8 @@ std::string FaultLog::serialize() const {
 }
 
 bool FaultPlan::any() const {
-  return any_trace_fault() || tx_failure > 0;
-}
-
-bool FaultPlan::any_trace_fault() const {
   return edge_dropout > 0 || node_churn > 0 || contact_truncation > 0 ||
-         contact_jitter_s > 0 || cost_inflation > 0;
+         contact_jitter_s > 0 || cost_inflation > 0 || tx_failure > 0;
 }
 
 Result<FaultPlan> FaultPlan::parse(const std::string& spec) {
@@ -165,23 +161,6 @@ Result<FaultPlan> FaultPlan::parse(const std::string& spec) {
     }
   }
   return plan;
-}
-
-std::string FaultPlan::to_string() const {
-  std::ostringstream os;
-  os << std::setprecision(17) << "seed=" << seed;
-  if (edge_dropout > 0) os << ",edge_dropout=" << edge_dropout;
-  if (node_churn > 0)
-    os << ",node_churn=" << node_churn << ",churn_span=" << churn_span;
-  if (contact_truncation > 0)
-    os << ",truncation=" << contact_truncation
-       << ",truncation_keep=" << truncation_keep;
-  if (contact_jitter_s > 0) os << ",jitter=" << contact_jitter_s;
-  if (cost_inflation > 0)
-    os << ",cost_inflation=" << cost_inflation
-       << ",inflation_factor=" << cost_inflation_factor;
-  if (tx_failure > 0) os << ",tx_failure=" << tx_failure;
-  return os.str();
 }
 
 FaultedTrace apply_plan(const trace::ContactTrace& input,

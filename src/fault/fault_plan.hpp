@@ -81,16 +81,11 @@ struct FaultPlan {
 
   /// True when any fault family is active.
   bool any() const;
-  /// True when any *topology* fault is active (i.e. apply_plan would act).
-  bool any_trace_fault() const;
 
   /// Parses "key=value,key=value" (e.g. "seed=7,edge_dropout=0.2,jitter=5").
   /// Keys: seed, edge_dropout, node_churn, churn_span, truncation,
   /// truncation_keep, jitter, cost_inflation, inflation_factor, tx_failure.
   static support::Result<FaultPlan> parse(const std::string& spec);
-
-  /// Canonical "key=value,..." rendering of the non-default fields.
-  std::string to_string() const;
 };
 
 /// A faulted trace plus the log of what was injected.

@@ -83,58 +83,6 @@ std::span<const Arc> Digraph::out(VertexId v) const {
   return {arcs_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
 }
 
-namespace {
-
-// Shared Dijkstra core writing into caller-provided flat arrays. `heap` is a
-// min-heap over (dist, vertex) pairs maintained with push_heap/pop_heap and
-// std::greater<> — the exact algorithm std::priority_queue runs, so the pop
-// order (and therefore every tie-break downstream) is byte-identical to the
-// historical implementation.
-void dijkstra_core(const Digraph& g, VertexId src, double* dist,
-                   VertexId* parent,
-                   std::vector<std::pair<double, VertexId>>& heap,
-                   std::size_t& settled, std::size_t& relaxations) {
-  heap.clear();
-  heap.emplace_back(0.0, src);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    heap.pop_back();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    ++settled;
-    for (const Arc& a : g.out(u)) {
-      const double nd = d + a.weight;
-      if (nd < dist[static_cast<std::size_t>(a.to)]) {
-        dist[static_cast<std::size_t>(a.to)] = nd;
-        parent[static_cast<std::size_t>(a.to)] = u;
-        heap.emplace_back(nd, a.to);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-        ++relaxations;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-ShortestPaths dijkstra(const Digraph& g, VertexId src) {
-  DijkstraWorkspace ws;
-  return dijkstra(g, src, ws);
-}
-
-ShortestPaths dijkstra(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
-  const auto n = static_cast<std::size_t>(g.vertex_count());
-  TVEG_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < n,
-               "source vertex out of range");
-  ShortestPaths sp;
-  sp.dist.assign(n, support::kInf);
-  sp.parent.assign(n, kNoVertex);
-  sp.dist[static_cast<std::size_t>(src)] = 0;
-  dijkstra_core(g, src, sp.dist.data(), sp.parent.data(), ws.heap_,
-                sp.settled, sp.relaxations);
-  return sp;
-}
-
 void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws) {
   dijkstra_scratch_nearest(g, src, ws, {}, 0, nullptr);
 }
@@ -152,9 +100,7 @@ void dijkstra_scratch_nearest(
   if (found != nullptr) found->clear();
   // Distance of the want-th found target; popping past it ends the run.
   double stop_above = support::kInf;
-  // The epoch-marked arrays cannot host the plain core loop, so the
-  // relaxation test reads an unmarked (stale) slot as +inf, as
-  // dijkstra_core's freshly filled arrays would.
+  // The relaxation test reads an unmarked (stale) slot as +inf.
   auto& heap = ws.heap_;
   heap.clear();
   const auto s = static_cast<std::size_t>(src);
@@ -186,17 +132,6 @@ void dijkstra_scratch_nearest(
       }
     }
   }
-}
-
-std::vector<VertexId> extract_path(const ShortestPaths& sp, VertexId dst) {
-  TVEG_REQUIRE(dst >= 0 && static_cast<std::size_t>(dst) < sp.dist.size(),
-               "destination out of range");
-  if (sp.dist[static_cast<std::size_t>(dst)] == support::kInf) return {};
-  std::vector<VertexId> path{dst};
-  while (sp.parent[static_cast<std::size_t>(path.back())] != kNoVertex)
-    path.push_back(sp.parent[static_cast<std::size_t>(path.back())]);
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 }  // namespace tveg::graph

@@ -82,18 +82,11 @@ class Digraph {
   std::vector<std::size_t> cursor_;
 };
 
-/// Single-source shortest paths result.
-struct ShortestPaths {
-  std::vector<double> dist;       ///< +inf when unreachable
-  std::vector<VertexId> parent;   ///< kNoVertex for source/unreachable
-  std::size_t settled = 0;        ///< queue pops that expanded a vertex
-  std::size_t relaxations = 0;    ///< successful distance improvements
-};
-
 /// Reusable Dijkstra scratch: the binary heap plus epoch-marked dist/parent
-/// arrays. One workspace serves one run at a time (not thread-safe); pooled
-/// workers each hold their own via support::ObjectPool. Buffers only grow,
-/// so steady-state runs allocate nothing.
+/// arrays. One workspace serves one run at a time (not thread-safe); each
+/// SteinerSolver owns its own. A default-constructed workspace allocates
+/// nothing until its first run, and its buffers only grow, so repeated runs
+/// reuse them.
 class DijkstraWorkspace {
  public:
   /// Distance of the most recent dijkstra_scratch run; +inf if v was not
@@ -118,8 +111,6 @@ class DijkstraWorkspace {
   std::uint32_t epoch_for_test() const { return epoch_; }
 
  private:
-  friend ShortestPaths dijkstra(const Digraph& g, VertexId src,
-                                DijkstraWorkspace& ws);
   friend void dijkstra_scratch_nearest(
       const Digraph& g, VertexId src, DijkstraWorkspace& ws,
       std::span<const std::int32_t> target, std::size_t want,
@@ -152,17 +143,11 @@ class DijkstraWorkspace {
   std::size_t relaxations_ = 0;
 };
 
-/// Dijkstra from src (weights must be non-negative).
-ShortestPaths dijkstra(const Digraph& g, VertexId src);
-
-/// As above, reusing `ws`'s heap storage; the returned tree owns its own
-/// dist/parent arrays (callers cache them). Byte-identical to the
-/// workspace-free overload.
-ShortestPaths dijkstra(const Digraph& g, VertexId src, DijkstraWorkspace& ws);
-
-/// Allocation-free variant for scratch queries whose tree is consumed
-/// immediately: results live in `ws` (dist()/parent()) until its next run.
-/// Same pops, distances and parents as dijkstra().
+/// Dijkstra from src (weights must be non-negative) for queries whose tree
+/// is consumed immediately: results live in `ws` (dist()/parent()) until its
+/// next run. The heap is a min-heap over (dist, vertex) pairs kept with
+/// push_heap/pop_heap and std::greater<> — the algorithm std::priority_queue
+/// runs — so pops, and every tie-break downstream, are deterministic.
 void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws);
 
 /// dijkstra_scratch stopped once the `want` nearest targets are settled.
@@ -172,7 +157,7 @@ void dijkstra_scratch(const Digraph& g, VertexId src, DijkstraWorkspace& ws);
 /// distance. Before settling a popped vertex at distance d the run stops if
 /// `want` targets are found and d is strictly greater than the want-th
 /// one's distance, so every target tied with it is still settled. Up to the
-/// stop the run is dijkstra()'s, so each settled vertex has its final
+/// stop the run is dijkstra_scratch()'s, so each settled vertex has its final
 /// distance and the full run's parent; a vertex reached but not settled
 /// reads a tentative distance in `ws`. `found` is cleared first; want == 0
 /// never stops early.
@@ -180,8 +165,5 @@ void dijkstra_scratch_nearest(
     const Digraph& g, VertexId src, DijkstraWorkspace& ws,
     std::span<const std::int32_t> target, std::size_t want,
     std::vector<std::pair<double, std::int32_t>>* found);
-
-/// Vertex sequence src..dst from a ShortestPaths tree; empty if unreachable.
-std::vector<VertexId> extract_path(const ShortestPaths& sp, VertexId dst);
 
 }  // namespace tveg::graph

@@ -27,24 +27,12 @@ std::uint64_t arc_key(VertexId from, VertexId to) {
 // Deliberately still an unordered_map: finalize() replays its iteration
 // order into the scratch Digraph, and that order feeds the cleanup
 // Dijkstra's tie-breaking — swapping the container would silently change
-// golden schedules. Local per query, never on the steady-state alloc path.
+// golden schedules. Local per query.
 struct TreeBuilder {
   std::unordered_map<std::uint64_t, double> arcs;
 
   void add_arc(VertexId from, VertexId to, double w) {
     arcs.emplace(arc_key(from, to), w);
-  }
-
-  /// Adds every arc of the shortest path sp-root → dst.
-  void add_path(const ShortestPaths& sp, VertexId dst) {
-    VertexId cur = dst;
-    while (sp.parent[static_cast<std::size_t>(cur)] != kNoVertex) {
-      const VertexId p = sp.parent[static_cast<std::size_t>(cur)];
-      add_arc(p, cur,
-              sp.dist[static_cast<std::size_t>(cur)] -
-                  sp.dist[static_cast<std::size_t>(p)]);
-      cur = p;
-    }
   }
 
   /// Adds every arc of the path source → dst in ws's last run's tree; dst
@@ -106,8 +94,7 @@ SteinerResult finalize(const TreeBuilder& builder, VertexId root,
 
 }  // namespace
 
-SteinerSolver::SteinerSolver(const Digraph& g)
-    : g_(g), ws_(acquire_workspace()) {}
+SteinerSolver::SteinerSolver(const Digraph& g) : g_(g) {}
 
 /// Clears per-query stats on entry to a public solver method and flushes
 /// them into the registry when the query finishes.
@@ -131,12 +118,6 @@ struct SteinerSolver::QueryScope {
   SteinerSolver& solver_;
 };
 
-void SteinerSolver::note_run(std::size_t settled, std::size_t relaxations) {
-  ++stats_.dijkstra_runs;
-  stats_.nodes_expanded += settled;
-  stats_.relaxations += relaxations;
-}
-
 const DijkstraWorkspace& SteinerSolver::forward_run(
     VertexId source, DijkstraWorkspace& ws,
     std::span<const std::int32_t> targets, std::size_t want) {
@@ -145,7 +126,9 @@ const DijkstraWorkspace& SteinerSolver::forward_run(
     obs::ScopedSpan span("steiner_forward_dijkstra");
     dijkstra_scratch_nearest(g_, source, ws, targets, want, &bunch_);
   }
-  note_run(ws.settled(), ws.relaxations());
+  ++stats_.dijkstra_runs;
+  stats_.nodes_expanded += ws.settled();
+  stats_.relaxations += ws.relaxations();
   return ws;
 }
 
@@ -153,7 +136,7 @@ SteinerResult SteinerSolver::shortest_path_heuristic(
     VertexId root, const std::vector<VertexId>& terminals) {
   const QueryScope scope(*this);
   // The tree is read before finalize() reuses the workspace.
-  const DijkstraWorkspace& sp = forward_run(root, *ws_);
+  const DijkstraWorkspace& sp = forward_run(root, ws_);
   TreeBuilder builder;
   bool reaches_all = true;
   for (VertexId t : terminals) {
@@ -163,7 +146,7 @@ SteinerResult SteinerSolver::shortest_path_heuristic(
       builder.add_path(sp, t);
   }
   SteinerResult result = finalize(builder, root, terminals, g_.vertex_count(),
-                                  scratch_sub_, *ws_);
+                                  scratch_sub_, ws_);
   result.feasible = result.feasible && reaches_all;
   return result;
 }
@@ -184,7 +167,7 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
     // nearest uncovered terminal and every terminal tied with it are
     // settled: the settled prefix is the full run's, so the (d, k) order of
     // the candidates and the arcs of their paths are the full run's too.
-    const DijkstraWorkspace& ws = forward_run(v, *ws_, term_slot_, want);
+    const DijkstraWorkspace& ws = forward_run(v, ws_, term_slot_, want);
     std::sort(bunch_.begin(), bunch_.end());
     if (bunch_.size() > want) bunch_.resize(want);
     for (const auto& [d, k] : bunch_) {
@@ -200,10 +183,8 @@ void SteinerSolver::greedy_cover(GreedyState& state, VertexId v, int level,
   // level-1 bunch has the best density estimate
   //   (dist(v→u) + Σ k'-cheapest dist(u→terminal)) / k'.
   // The level-2 root's full tree stays in root_ws_ while the bunches below
-  // it run on ws_. Leased on the first level-2 query: an SPT or level-1
-  // solver never grows a second workspace.
-  if (!root_ws_) root_ws_ = acquire_workspace();
-  const DijkstraWorkspace& sp = forward_run(v, *root_ws_);
+  // it run on ws_.
+  const DijkstraWorkspace& sp = forward_run(v, root_ws_);
   std::size_t remaining = want;
   const std::size_t kTerms = term_count_;
   while (remaining > 0) {
@@ -351,166 +332,7 @@ SteinerResult SteinerSolver::recursive_greedy(
   term_count_ = 0;
 
   return finalize(state.tree, root, terminals, g_.vertex_count(), scratch_sub_,
-                  *ws_);
-}
-
-SteinerResult SteinerSolver::exact_small(
-    VertexId root, const std::vector<VertexId>& terminals) {
-  const QueryScope scope(*this);
-  std::vector<VertexId> terms;
-  std::unordered_set<VertexId> seen;
-  for (VertexId t : terminals)
-    if (t != root && seen.insert(t).second) terms.push_back(t);
-  const std::size_t k = terms.size();
-  TVEG_REQUIRE(k <= 16, "exact solver limited to 16 terminals");
-  const auto n = static_cast<std::size_t>(g_.vertex_count());
-  TVEG_REQUIRE(n <= 1500, "exact solver limited to 1500 vertices "
-                          "(quadratic distance/parent storage)");
-
-  if (k == 0) {
-    SteinerResult r;
-    r.feasible = true;
-    return r;
-  }
-
-  // Full single-source trees from every vertex: distances for the DP plus
-  // parents for arc reconstruction. Indexed slots + in-order stats keep the
-  // pooled path bit-identical to the serial one.
-  std::vector<ShortestPaths> sp(n);
-  if (pool_ != nullptr && n > 1) {
-    pool_->parallel_for(0, n, [&](std::size_t v) {
-      obs::ScopedSpan run_span("steiner_all_source");
-      budget_.check("steiner_all_source");
-      auto ws = acquire_workspace();
-      sp[v] = dijkstra(g_, static_cast<VertexId>(v), *ws);
-    }, budget_.cancel);
-    static obs::Counter& par_runs = obs::MetricsRegistry::global().counter(
-        obs::keys::kParallelSteinerDijkstras);
-    par_runs.add(n);
-  } else {
-    support::Budget::Poller poller(budget_, "steiner_all_source",
-                                   /*stride=*/16);
-    for (std::size_t v = 0; v < n; ++v) {
-      poller.poll();
-      sp[v] = dijkstra(g_, static_cast<VertexId>(v), *ws_);
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v)
-    note_run(sp[v].settled, sp[v].relaxations);
-  auto dist = [&](std::size_t v, std::size_t u) { return sp[v].dist[u]; };
-
-  const std::size_t full = (std::size_t{1} << k) - 1;
-  // dp[S][v]: min arborescence cost rooted at v covering terminal subset S.
-  // graft_u[S][v]: the vertex the split/base happens at (reached from v by
-  // a shortest path). split_a[S][u]: the subset A of the split at u
-  // (0 = singleton base case, path straight to the terminal).
-  std::vector<std::vector<double>> dp(full + 1, std::vector<double>(n, kInf));
-  std::vector<std::vector<VertexId>> graft_u(
-      full + 1, std::vector<VertexId>(n, kNoVertex));
-  std::vector<std::vector<std::uint32_t>> split_a(
-      full + 1, std::vector<std::uint32_t>(n, 0));
-
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t S = std::size_t{1} << i;
-    for (std::size_t v = 0; v < n; ++v) {
-      dp[S][v] = dist(v, static_cast<std::size_t>(terms[i]));
-      graft_u[S][v] = static_cast<VertexId>(v);  // base: path v → terminal
-    }
-  }
-
-  std::vector<double> merged(n);
-  std::vector<std::uint32_t> merged_a(n);
-  for (std::size_t S = 1; S <= full; ++S) {
-    if ((S & (S - 1)) == 0) continue;  // singletons are the base case
-    // Split step: best partition of S at the same root.
-    for (std::size_t v = 0; v < n; ++v) {
-      double best = kInf;
-      std::uint32_t best_a = 0;
-      for (std::size_t A = (S - 1) & S; A > (S ^ A); A = (A - 1) & S) {
-        const std::size_t B = S ^ A;
-        if (dp[A][v] < kInf && dp[B][v] < kInf && dp[A][v] + dp[B][v] < best) {
-          best = dp[A][v] + dp[B][v];
-          best_a = static_cast<std::uint32_t>(A);
-        }
-      }
-      merged[v] = best;
-      merged_a[v] = best_a;
-    }
-    // Graft step: reach the split vertex u from v by a shortest path.
-    for (std::size_t v = 0; v < n; ++v) {
-      double best = merged[v];
-      std::size_t best_u = v;
-      for (std::size_t u = 0; u < n; ++u) {
-        if (merged[u] == kInf || dist(v, u) == kInf) continue;
-        if (dist(v, u) + merged[u] < best) {
-          best = dist(v, u) + merged[u];
-          best_u = u;
-        }
-      }
-      dp[S][v] = best;
-      graft_u[S][v] = static_cast<VertexId>(best_u);
-      split_a[S][v] = merged_a[best_u];
-    }
-  }
-
-  SteinerResult r;
-  const double opt = dp[full][static_cast<std::size_t>(root)];
-  if (opt == kInf) return r;  // infeasible, empty result
-
-  // Reconstruct: realize dp[S][v] recursively into a TreeBuilder.
-  TreeBuilder builder;
-  struct Frame {
-    std::size_t S;
-    std::size_t v;
-  };
-  std::vector<Frame> stack{{full, static_cast<std::size_t>(root)}};
-  while (!stack.empty()) {
-    const auto [S, v] = stack.back();
-    stack.pop_back();
-    const auto u = static_cast<std::size_t>(graft_u[S][v]);
-    TVEG_ASSERT(graft_u[S][v] != kNoVertex);
-    builder.add_path(sp[v], static_cast<VertexId>(u));
-    if ((S & (S - 1)) == 0) {
-      // Singleton: shortest path u → terminal.
-      std::size_t i = 0;
-      while (!(S & (std::size_t{1} << i))) ++i;
-      builder.add_path(sp[u], terms[i]);
-    } else {
-      const std::size_t A = split_a[S][v];
-      TVEG_ASSERT(A != 0 && (A & S) == A);
-      stack.push_back({A, u});
-      stack.push_back({S ^ A, u});
-    }
-  }
-
-  r = finalize(builder, root, terminals, g_.vertex_count(), scratch_sub_,
-               *ws_);
-  TVEG_ASSERT_MSG(r.feasible, "exact reconstruction lost a terminal");
-  // Shared arcs can only make the realized tree cheaper than the DP value,
-  // and no tree beats the optimum — so they must agree.
-  TVEG_ASSERT_MSG(r.cost <= opt + 1e-9 * (1 + opt), "cost above DP optimum");
-  return r;
-}
-
-bool SteinerSolver::validate(const SteinerResult& r, VertexId root,
-                             const std::vector<VertexId>& terminals) const {
-  // Check arcs exist in the graph with the claimed (or better) weight, and
-  // that every terminal is reachable from the root using only tree arcs.
-  Digraph sub(g_.vertex_count());
-  for (const auto& arc : r.arcs) {
-    bool found = false;
-    for (const Arc& a : g_.out(arc.from))
-      if (a.to == arc.to && a.weight <= arc.weight + 1e-9) {
-        found = true;
-        break;
-      }
-    if (!found) return false;
-    sub.add_arc(arc.from, arc.to, arc.weight);
-  }
-  const ShortestPaths sp = dijkstra(sub, root);
-  for (VertexId t : terminals)
-    if (sp.dist[static_cast<std::size_t>(t)] == kInf) return false;
-  return true;
+                  ws_);
 }
 
 }  // namespace tveg::graph

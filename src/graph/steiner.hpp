@@ -3,7 +3,7 @@
 // TMEDB-S reduces (via the auxiliary graph of Sec. VI-A) to the directed
 // Steiner tree problem: given a root r and terminal set X, find a minimum-
 // weight out-arborescence subgraph containing a path r→x for every x ∈ X.
-// Three solvers with different cost/quality points:
+// Two solvers with different cost/quality points:
 //
 //  * recursive_greedy — Charikar et al.'s level-i algorithm, the one Liang's
 //    MEMT approximation [3] builds on; level i gives ratio O(|X|^{1/i})
@@ -11,17 +11,14 @@
 //    running at level ⌈1/ε⌉).
 //  * shortest_path_heuristic — union of shortest paths root→terminal with a
 //    leaf-pruning cleanup; fast, no worst-case guarantee, strong in practice.
-//  * exact_small — Dreyfus–Wagner-style subset DP, exponential in |X|;
-//    ground truth for tests and for the approximation-ratio benches.
 //
 // Memory layout (DESIGN.md "Data layout & hot-path memory"): all per-query
 // state is dense and index-addressed — terminal distances live in one flat
 // terminal-major matrix filled by one SCC-ordered sweep (graph/
-// terminal_sweep.hpp), and every Dijkstra runs on a workspace the solver
-// leases for its lifetime (a second one holds a level-2 root's full tree
-// while the early-stopped bunch runs beneath it use the first) — so the
-// Dijkstra and sweep buffers of repeated queries are reused, not
-// reallocated.
+// terminal_sweep.hpp), and every Dijkstra runs on one of the solver's two
+// workspaces (the second holds a level-2 root's full tree while the
+// early-stopped bunch runs beneath it use the first) — so the Dijkstra and
+// sweep buffers of repeated queries are reused, not reallocated.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +28,6 @@
 
 #include "graph/digraph.hpp"
 #include "graph/terminal_sweep.hpp"
-#include "graph/workspace_pool.hpp"
 #include "support/budget.hpp"
 #include "support/thread_pool.hpp"
 
@@ -67,13 +63,12 @@ class SteinerSolver {
   /// unlimited.
   void set_budget(support::Budget budget) { budget_ = std::move(budget); }
 
-  /// Optional worker pool for the embarrassingly parallel phases: the
-  /// level-2 density scan of recursive_greedy and exact_small's all-sources
-  /// trees (the terminal sweep is serial). Results are bit-identical to the
-  /// serial path — every parallel phase either writes indexed slots or
-  /// reduces chunk-local minima in serial chunk order (the level-2 winner is
-  /// the lexicographically first (u, k') attaining the minimum density, same
-  /// as the serial strict-< scan). nullptr = serial.
+  /// Optional worker pool for the level-2 density scan of recursive_greedy
+  /// (the terminal sweep and the Dijkstras are serial). Results are
+  /// bit-identical to the serial path — chunk-local minima are reduced in
+  /// serial chunk order, so the winner is the lexicographically first
+  /// (u, k') attaining the minimum density, same as the serial strict-<
+  /// scan. nullptr = serial.
   void set_pool(support::ThreadPool* pool) { pool_ = pool; }
 
   /// Union of shortest paths to each terminal, then non-terminal leaves are
@@ -87,17 +82,6 @@ class SteinerSolver {
   SteinerResult recursive_greedy(VertexId root,
                                  const std::vector<VertexId>& terminals,
                                  int level);
-
-  /// Exact subset DP (Dreyfus–Wagner adapted to digraphs); |terminals| must
-  /// be <= 16 and the graph reasonably small (3^k·V time, V² distance
-  /// storage). Returns the optimal arborescence *with* its arcs.
-  SteinerResult exact_small(VertexId root,
-                            const std::vector<VertexId>& terminals);
-
-  /// Validates that `r` is an arborescence rooted at `root` covering all
-  /// terminals with arcs that exist in the graph; used by tests.
-  bool validate(const SteinerResult& r, VertexId root,
-                const std::vector<VertexId>& terminals) const;
 
   /// Work counters of the most recent solver query (the SCC order, kept
   /// across queries, counts no work twice). Also accumulated into the
@@ -121,8 +105,6 @@ class SteinerSolver {
   const DijkstraWorkspace& forward_run(
       VertexId source, DijkstraWorkspace& ws,
       std::span<const std::int32_t> targets = {}, std::size_t want = 0);
-  /// Accounts one Dijkstra run to the current query.
-  void note_run(std::size_t settled, std::size_t relaxations);
   /// Resets per-query stats; flushes them to the registry on destruction.
   struct QueryScope;
 
@@ -151,13 +133,12 @@ class SteinerSolver {
   std::vector<std::pair<double, std::int32_t>> bunch_;
   /// Reusable scratch for finalize()'s subgraph cleanup pass.
   Digraph scratch_sub_;
-  /// This solver's serial-phase workspaces, leased for the solver lifetime:
-  /// ws_ for the SPT root's tree, bunch runs and finalize; root_ws_, leased
-  /// on the first level-2 query, for the level-2 root's tree, which outlives
-  /// the bunch runs beneath it. Parallel phases lease per-task workspaces
-  /// from the same pool.
-  WorkspaceHandle ws_;
-  WorkspaceHandle root_ws_;
+  /// ws_ holds the SPT root's tree, the bunch runs and finalize's cleanup
+  /// run; root_ws_ the level-2 root's tree, which outlives the bunch runs
+  /// beneath it. A workspace allocates on its first run, so an SPT-only
+  /// solver never grows root_ws_.
+  DijkstraWorkspace ws_;
+  DijkstraWorkspace root_ws_;
 };
 
 }  // namespace tveg::graph

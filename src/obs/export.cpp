@@ -30,7 +30,6 @@ Json phase_json(const TraceNodeSnapshot& n) {
   j.set("name", n.name);
   j.set("count", n.count);
   j.set("wall_ms", n.wall_ms);
-  j.set("rss_delta_kb", n.rss_delta_kb);
   Json children = Json::array();
   for (const auto& c : n.children) children.push_back(phase_json(c));
   j.set("children", std::move(children));
@@ -69,8 +68,6 @@ Json snapshot() {
   doc.set("phase_totals", std::move(totals));
   return doc;
 }
-
-std::string snapshot_json(int indent) { return snapshot().dump(indent); }
 
 Json phase_attribution() {
   // Join phase_totals (wall time + counts summed across the tree) with the
@@ -119,7 +116,7 @@ void write_snapshot_file(const std::string& path) {
   if (!out) throw std::runtime_error("cannot open " + path + " for writing");
   const bool csv =
       path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  out << (csv ? metrics_csv() : snapshot_json()) << "\n";
+  out << (csv ? metrics_csv() : snapshot().dump(2)) << "\n";
   if (!out) throw std::runtime_error("failed writing " + path);
 }
 

@@ -11,7 +11,7 @@
 //       "histograms": { "tveg.pool.queue_wait_us":
 //                         {"count","sum","min","max","p50","p90","p99"} }
 //     },
-//     "phases": [ {"name","count","wall_ms","rss_delta_kb","children":[...]} ],
+//     "phases": [ {"name","count","wall_ms","children":[...]} ],
 //     "phase_totals": { "<phase name>": <wall_ms summed across the tree> }
 //   }
 #pragma once
@@ -26,9 +26,6 @@ namespace tveg::obs {
 /// reports).
 Json snapshot();
 
-/// snapshot() serialized; indent as in Json::dump.
-std::string snapshot_json(int indent = 2);
-
 /// Per-phase attribution block (bench reports, bench_gate): a name-sorted
 /// array of { name, count, wall_ms [, p50_ms, p95_ms, p99_ms] } joining the
 /// aggregate phase tree with the tveg.obs.phase_ms.* duration histograms.
@@ -39,8 +36,9 @@ Json phase_attribution();
 /// (counter/gauge rows fill only the value column).
 std::string metrics_csv();
 
-/// Writes snapshot_json() to `path` (throws std::runtime_error on I/O
-/// failure). A ".csv" path gets metrics_csv() instead.
+/// Writes snapshot() to `path` as JSON indented by 2 (throws
+/// std::runtime_error on I/O failure). A ".csv" path gets metrics_csv()
+/// instead.
 void write_snapshot_file(const std::string& path);
 
 }  // namespace tveg::obs

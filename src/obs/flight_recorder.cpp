@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "obs/keys.hpp"
@@ -68,12 +67,6 @@ void FlightRecorder::dump(std::ostream& os) const {
     if (e.detail != nullptr && e.detail[0] != '\0') os << " " << e.detail;
     os << "\n";
   }
-}
-
-std::string FlightRecorder::dump_string() const {
-  std::ostringstream os;
-  dump(os);
-  return os.str();
 }
 
 void FlightRecorder::reset() noexcept {

@@ -73,7 +73,6 @@ class FlightRecorder {
   /// preceded by a `flight-recorder: <n> event(s), <m> retained` header.
   /// Byte-stable for a fixed event history.
   void dump(std::ostream& os) const;
-  std::string dump_string() const;
 
   void reset() noexcept;
 

@@ -1,6 +1,5 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -9,11 +8,6 @@
 namespace tveg::obs {
 
 namespace {
-
-void fail(const char* what, std::size_t at) {
-  throw std::runtime_error("json: " + std::string(what) + " at offset " +
-                           std::to_string(at));
-}
 
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
@@ -50,153 +44,6 @@ void append_number(std::string& out, double v) {
   out.append(buf, res.ptr);
 }
 
-/// Recursive-descent parser over a string_view with one position cursor.
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\n' || text[pos] == '\r'))
-      ++pos;
-  }
-
-  char peek() {
-    if (pos >= text.size()) fail("unexpected end of input", pos);
-    return text[pos];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character", pos);
-    ++pos;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) return false;
-    pos += lit.size();
-    return true;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos >= text.size()) fail("unterminated string", pos);
-      const char c = text[pos++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos >= text.size()) fail("unterminated escape", pos);
-      const char e = text[pos++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos + 4 > text.size()) fail("truncated \\u escape", pos);
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text[pos++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape", pos - 1);
-          }
-          // Encode as UTF-8 (BMP only; surrogate pairs are not needed for
-          // our ASCII metric names but are passed through as-is).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("bad escape", pos - 1);
-      }
-    }
-  }
-
-  double parse_number() {
-    const std::size_t start = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '+' || text[pos] == '-'))
-      ++pos;
-    double value = 0;
-    const auto res =
-        std::from_chars(text.data() + start, text.data() + pos, value);
-    if (res.ec != std::errc{} || res.ptr != text.data() + pos)
-      fail("malformed number", start);
-    return value;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') {
-      ++pos;
-      Json obj = Json::object();
-      skip_ws();
-      if (peek() == '}') {
-        ++pos;
-        return obj;
-      }
-      while (true) {
-        skip_ws();
-        std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        obj.set(std::move(key), parse_value());
-        skip_ws();
-        const char sep = peek();
-        ++pos;
-        if (sep == '}') return obj;
-        if (sep != ',') fail("expected ',' or '}'", pos - 1);
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      Json arr = Json::array();
-      skip_ws();
-      if (peek() == ']') {
-        ++pos;
-        return arr;
-      }
-      while (true) {
-        arr.push_back(parse_value());
-        skip_ws();
-        const char sep = peek();
-        ++pos;
-        if (sep == ']') return arr;
-        if (sep != ',') fail("expected ',' or ']'", pos - 1);
-      }
-    }
-    if (c == '"') return Json(parse_string());
-    if (consume_literal("true")) return Json(true);
-    if (consume_literal("false")) return Json(false);
-    if (consume_literal("null")) return Json();
-    return Json(parse_number());
-  }
-};
-
 }  // namespace
 
 Json& Json::push_back(Json v) {
@@ -214,38 +61,6 @@ Json& Json::set(std::string key, Json v) {
     }
   members_.emplace_back(std::move(key), std::move(v));
   return *this;
-}
-
-bool Json::as_bool() const {
-  if (type_ != Type::kBool) throw std::runtime_error("json: not a bool");
-  return bool_;
-}
-
-double Json::as_number() const {
-  if (type_ != Type::kNumber) throw std::runtime_error("json: not a number");
-  return number_;
-}
-
-const std::string& Json::as_string() const {
-  if (type_ != Type::kString) throw std::runtime_error("json: not a string");
-  return string_;
-}
-
-const std::vector<Json>& Json::items() const {
-  if (type_ != Type::kArray) throw std::runtime_error("json: not an array");
-  return items_;
-}
-
-const std::vector<std::pair<std::string, Json>>& Json::members() const {
-  if (type_ != Type::kObject) throw std::runtime_error("json: not an object");
-  return members_;
-}
-
-const Json* Json::find(std::string_view key) const {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : members_)
-    if (k == key) return &v;
-  return nullptr;
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
@@ -299,14 +114,6 @@ std::string Json::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
   return out;
-}
-
-Json Json::parse(std::string_view text) {
-  Parser p{text};
-  Json value = p.parse_value();
-  p.skip_ws();
-  if (p.pos != text.size()) fail("trailing garbage", p.pos);
-  return value;
 }
 
 }  // namespace tveg::obs

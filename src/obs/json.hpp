@@ -1,17 +1,16 @@
-// Minimal self-contained JSON value: builder, serializer and parser.
+// Minimal self-contained JSON value: builder and serializer.
 //
 // The observability layer needs machine-readable output (metrics snapshots,
-// bench reports) without third-party dependencies, and the tests need to
-// read that output back to verify it round-trips — so both directions live
-// here. Deliberately small: null/bool/number/string/array/object, UTF-8
-// passed through verbatim, numbers serialized with shortest round-trip
-// formatting. Object member order is preserved (deterministic output).
+// bench reports, Chrome traces) without third-party dependencies. Nothing
+// shipped reads JSON back; the tests' reader lives under tests/oracle.
+// Deliberately small: null/bool/number/string/array/object, UTF-8 passed
+// through verbatim, numbers serialized with shortest round-trip formatting.
+// Object member order is preserved (deterministic output).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,8 +19,6 @@ namespace tveg::obs {
 /// One JSON value (recursive).
 class Json {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
   Json() = default;  ///< null
   Json(bool b) : type_(Type::kBool), bool_(b) {}
   Json(double v) : type_(Type::kNumber), number_(v) {}
@@ -37,34 +34,18 @@ class Json {
   static Json array() { return Json(Type::kArray); }
   static Json object() { return Json(Type::kObject); }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
-
   /// Appends to an array (the value must be an array).
   Json& push_back(Json v);
   /// Sets/overwrites a member of an object (the value must be an object).
   Json& set(std::string key, Json v);
 
-  bool as_bool() const;
-  double as_number() const;
-  const std::string& as_string() const;
-  const std::vector<Json>& items() const;  ///< array elements
-  const std::vector<std::pair<std::string, Json>>& members() const;
-
-  /// Member lookup; nullptr when absent or not an object.
-  const Json* find(std::string_view key) const;
-
   /// Serializes; indent < 0 = compact single line, otherwise pretty-printed
   /// with `indent` spaces per level.
   std::string dump(int indent = -1) const;
 
-  /// Parses a complete JSON document; throws std::runtime_error with a
-  /// byte offset on malformed input or trailing garbage.
-  static Json parse(std::string_view text);
-
  private:
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+
   explicit Json(Type t) : type_(t) {}
   void dump_to(std::string& out, int indent, int depth) const;
 

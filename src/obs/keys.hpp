@@ -62,17 +62,8 @@ inline constexpr char kSteinerDijkstraRuns[] = "tveg.steiner.dijkstra_runs";
 inline constexpr char kSteinerNodesExpanded[] = "tveg.steiner.nodes_expanded";
 /// Dijkstra distance improvements plus lowered sweep matrix entries.
 inline constexpr char kSteinerRelaxations[] = "tveg.steiner.relaxations";
-inline constexpr char kSteinerHeapAcquires[] = "tveg.steiner.heap.acquires";
-inline constexpr char kSteinerHeapReuses[] = "tveg.steiner.heap.reuses";
-
-// -- support/object_pool ----------------------------------------------------
-/// Objects constructed by workspace pools after warmup: zero in steady
-/// state (asserted by tests/perf/steady_state_alloc_test).
-inline constexpr char kAllocSteadyState[] = "tveg.alloc.steady_state";
 
 // -- parallel phases --------------------------------------------------------
-inline constexpr char kParallelSteinerDijkstras[] =
-    "tveg.parallel.steiner_dijkstras";
 inline constexpr char kParallelAuxDcsTasks[] = "tveg.parallel.aux_dcs_tasks";
 
 // -- core/prune -------------------------------------------------------------

@@ -119,10 +119,6 @@ double Histogram::quantile_of(const Buckets& buckets, double q, double lo,
   return lo <= hi ? std::clamp(estimate, lo, hi) : estimate;
 }
 
-double Histogram::quantile(double q) const noexcept {
-  return quantile_of(load_buckets(), q, min(), max());
-}
-
 Histogram::Snapshot Histogram::snapshot() const noexcept {
   Snapshot s;
   s.count = count();

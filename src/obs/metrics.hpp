@@ -83,10 +83,9 @@ class Histogram {
   double sum() const noexcept;
   double min() const noexcept;  ///< +inf when empty
   double max() const noexcept;  ///< -inf when empty
-  /// Estimated q-quantile (q in [0,1]); 0 when empty. Clamped to the exact
-  /// observed [min, max].
-  double quantile(double q) const noexcept;
 
+  /// Exact count/sum/min/max plus estimated quantiles, each clamped to the
+  /// exact observed [min, max]; all zero when empty.
   struct Snapshot {
     std::uint64_t count = 0;
     double sum = 0, min = 0, max = 0;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -285,83 +283,10 @@ Json chrome_trace() {
   return doc;
 }
 
-std::string chrome_trace_json() { return chrome_trace().dump(-1); }
-
 void write_chrome_trace_file(const std::string& path) {
   std::ofstream out(path, std::ios::binary);
-  out << chrome_trace_json() << "\n";
+  out << chrome_trace().dump() << "\n";
   if (!out) throw std::runtime_error("cannot write trace to " + path);
-}
-
-std::string validate_chrome_trace(const Json& doc) {
-  if (!doc.is_object()) return "document is not an object";
-  const Json* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array())
-    return "missing traceEvents array";
-  std::map<std::uint64_t, double> last_ts;
-  std::map<std::uint64_t, std::vector<std::string>> stacks;
-  std::size_t i = 0;
-  for (const Json& e : events->items()) {
-    const std::string at = "event " + std::to_string(i++);
-    if (!e.is_object()) return at + ": not an object";
-    const Json* ph = e.find("ph");
-    const Json* pid = e.find("pid");
-    const Json* tid = e.find("tid");
-    const Json* name = e.find("name");
-    if (ph == nullptr || ph->type() != Json::Type::kString)
-      return at + ": missing ph";
-    if (pid == nullptr || pid->type() != Json::Type::kNumber)
-      return at + ": missing numeric pid";
-    if (tid == nullptr || tid->type() != Json::Type::kNumber)
-      return at + ": missing numeric tid";
-    if (name == nullptr || name->type() != Json::Type::kString)
-      return at + ": missing name";
-    const std::string& kind = ph->as_string();
-    if (kind == "M") continue;  // metadata: no timing constraints
-    if (kind != "B" && kind != "E" && kind != "X" && kind != "i")
-      return at + ": unknown ph '" + kind + "'";
-    const Json* ts = e.find("ts");
-    if (ts == nullptr || ts->type() != Json::Type::kNumber)
-      return at + ": missing numeric ts";
-    const auto key = static_cast<std::uint64_t>(tid->as_number());
-    const auto it = last_ts.find(key);
-    if (it != last_ts.end() && ts->as_number() < it->second)
-      return at + ": ts goes backwards on tid " + std::to_string(key);
-    last_ts[key] = ts->as_number();
-    if (kind == "X") {
-      const Json* dur = e.find("dur");
-      if (dur == nullptr || dur->type() != Json::Type::kNumber ||
-          dur->as_number() < 0)
-        return at + ": X event without non-negative dur";
-      continue;
-    }
-    if (kind == "B") {
-      stacks[key].push_back(name->as_string());
-    } else if (kind == "E") {
-      auto& stack = stacks[key];
-      if (stack.empty())
-        return at + ": E without matching B on tid " + std::to_string(key);
-      if (stack.back() != name->as_string())
-        return at + ": E '" + name->as_string() + "' does not match open B '" +
-               stack.back() + "'";
-      stack.pop_back();
-    }
-  }
-  for (const auto& [tid, stack] : stacks)
-    if (!stack.empty())
-      return "unclosed B '" + stack.back() + "' on tid " + std::to_string(tid);
-  return "";
-}
-
-std::uint64_t span_drop_count() noexcept {
-  Registry& reg = registry();
-  support::MutexLock lock(reg.mutex);
-  std::uint64_t dropped = 0;
-  for (const auto& ring : reg.rings) {
-    support::MutexLock ring_lock(ring->mutex);
-    dropped += ring->dropped;
-  }
-  return dropped;
 }
 
 void span_reset() {

@@ -92,22 +92,9 @@ class ScopedSpan {
 /// Within each tid, events are emitted in non-decreasing ts order.
 Json chrome_trace();
 
-/// chrome_trace() serialized.
-std::string chrome_trace_json();
-
-/// Writes chrome_trace_json() to `path`; throws std::runtime_error on I/O
-/// failure.
+/// Writes chrome_trace() as compact JSON to `path`; throws
+/// std::runtime_error on I/O failure.
 void write_chrome_trace_file(const std::string& path);
-
-/// Structural validation of a Chrome trace_event document (used by tests
-/// and the CI obs stage): traceEvents must be an array of objects carrying
-/// ph/pid/tid/name, B/E/X events need numeric ts (X also dur >= 0), ts must
-/// be non-decreasing per tid, and B/E pairs must match LIFO per tid.
-/// Returns "" when valid, else the first violation.
-std::string validate_chrome_trace(const Json& doc);
-
-/// Total records dropped to ring overflow since the last reset.
-std::uint64_t span_drop_count() noexcept;
 
 /// Clears every thread's ring and drop counts (thread registrations and
 /// names survive). Only call with no spans open and recording quiescent.

@@ -13,33 +13,13 @@
 #include "support/sync.hpp"
 #include "support/thread_annotations.hpp"
 
-#ifdef __linux__
-#include <unistd.h>
-#endif
-
 namespace tveg::obs {
 
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_rss{false};
 
 constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
-
-/// Resident set size in KiB, or -1 when unavailable.
-long long read_rss_kb() noexcept {
-#ifdef __linux__
-  static const long page_kb = sysconf(_SC_PAGESIZE) / 1024;
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (!f) return -1;
-  long long size = 0, resident = 0;
-  const int got = std::fscanf(f, "%lld %lld", &size, &resident);
-  std::fclose(f);
-  return got == 2 ? resident * page_kb : -1;
-#else
-  return -1;
-#endif
-}
 
 struct Node {
   std::string name;
@@ -47,7 +27,6 @@ struct Node {
   std::vector<std::size_t> children;  // guarded by Tree::mutex
   std::atomic<std::uint64_t> total_ns{0};
   std::atomic<std::uint64_t> count{0};
-  std::atomic<long long> rss_delta_kb{0};
   /// Per-phase duration histogram (tveg.obs.phase_ms.<name>), resolved once
   /// at node creation so span close never takes the registry mutex.
   Histogram* hist = nullptr;
@@ -105,7 +84,6 @@ TraceNodeSnapshot snapshot_node(const Tree& t, std::size_t id)
   s.count = n.count.load(std::memory_order_relaxed);
   s.wall_ms =
       static_cast<double>(n.total_ns.load(std::memory_order_relaxed)) / 1e6;
-  s.rss_delta_kb = n.rss_delta_kb.load(std::memory_order_relaxed);
   for (std::size_t c : n.children) s.children.push_back(snapshot_node(t, c));
   return s;
 }
@@ -114,10 +92,7 @@ void report_node(std::ostream& os, const TraceNodeSnapshot& n, int depth) {
   for (int i = 0; i < depth; ++i) os << "  ";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%10.3f ms", n.wall_ms);
-  os << n.name << "  x" << n.count << "  " << buf;
-  if (n.rss_delta_kb != 0) os << "  rss" << std::showpos << n.rss_delta_kb
-                              << std::noshowpos << "kB";
-  os << "\n";
+  os << n.name << "  x" << n.count << "  " << buf << "\n";
   for (const auto& c : n.children) report_node(os, c, depth + 1);
 }
 
@@ -127,7 +102,6 @@ void accumulate_totals(const TraceNodeSnapshot& n,
   slot.name = n.name;
   slot.count += n.count;
   slot.wall_ms += n.wall_ms;
-  slot.rss_delta_kb += n.rss_delta_kb;
   for (const auto& c : n.children) accumulate_totals(c, totals);
 }
 
@@ -139,10 +113,6 @@ void set_enabled(bool on) noexcept {
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
-void set_rss_tracking(bool on) noexcept {
-  g_rss.store(on, std::memory_order_relaxed);
-}
-
 TraceSpan::TraceSpan(const char* name) noexcept {
   const bool aggregate = enabled();
   const bool ring = span_tracing();
@@ -153,7 +123,6 @@ TraceSpan::TraceSpan(const char* name) noexcept {
     node_ptr_ = ptr;
     prev_ = t_current;
     t_current = node_;
-    if (g_rss.load(std::memory_order_relaxed)) rss_before_kb_ = read_rss_kb();
   }
   if (ring) {
     ring_name_ = name;
@@ -177,19 +146,7 @@ TraceSpan::~TraceSpan() {
   n.count.fetch_add(1, std::memory_order_relaxed);
   if (n.hist != nullptr)
     n.hist->observe(static_cast<double>(elapsed_ns) / 1e6);
-  if (rss_before_kb_ >= 0) {
-    const long long after = read_rss_kb();
-    if (after >= 0)
-      n.rss_delta_kb.fetch_add(after - rss_before_kb_,
-                               std::memory_order_relaxed);
-  }
   t_current = prev_;
-}
-
-double TraceSpan::elapsed_ms() const noexcept {
-  if (node_ == kNone && ring_name_ == nullptr) return 0;
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  return std::chrono::duration<double, std::milli>(elapsed).count();
 }
 
 void declare_phases(std::initializer_list<const char*> names) {

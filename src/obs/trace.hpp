@@ -15,8 +15,7 @@
 // Cost model: when tracing is disabled (the default), constructing a span
 // is two relaxed atomic loads and a branch — no clock read, no allocation,
 // no lock. When enabled, open/close takes a short mutex-protected child
-// lookup plus two steady_clock reads; optional RSS tracking adds a
-// /proc/self/statm read per open/close and is off unless requested.
+// lookup plus two steady_clock reads.
 //
 // Observability v2: every TraceSpan additionally (a) feeds the per-phase
 // duration histogram `tveg.obs.phase_ms.<name>` (the bench-gate attribution
@@ -36,14 +35,10 @@
 
 namespace tveg::obs {
 
-/// Master switch for tracing and for any metric needing clock or /proc
-/// reads. Off by default.
+/// Master switch for tracing and for any metric needing clock reads. Off by
+/// default.
 void set_enabled(bool on) noexcept;
 bool enabled() noexcept;
-
-/// When on (and tracing is enabled), every span also records the RSS delta
-/// across its lifetime. Off by default: it costs two /proc reads per span.
-void set_rss_tracking(bool on) noexcept;
 
 /// RAII phase span. Construction pushes this span as the calling thread's
 /// current phase; destruction pops it and accumulates elapsed wall time.
@@ -55,16 +50,12 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Wall time since construction in ms; 0 when tracing is disabled.
-  double elapsed_ms() const noexcept;
-
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t node_ = kNone;
   void* node_ptr_ = nullptr;  ///< stable Node*; avoids locking on close
   std::size_t prev_ = kNone;
   std::chrono::steady_clock::time_point start_;
-  long long rss_before_kb_ = -1;
   const char* ring_name_ = nullptr;  ///< non-null while a ring span is open
   std::uint64_t ring_open_seq_ = 0;
 };
@@ -82,7 +73,6 @@ struct TraceNodeSnapshot {
   std::string name;
   std::uint64_t count = 0;        ///< completed entries
   double wall_ms = 0;             ///< summed wall time
-  long long rss_delta_kb = 0;     ///< summed RSS delta (0 unless tracked)
   std::vector<TraceNodeSnapshot> children;
 };
 

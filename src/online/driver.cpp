@@ -15,14 +15,6 @@ constexpr double kTimeTol = 1e-9;
 }
 
 core::SchedulerResult run_online(const core::TmedbInstance& instance,
-                                 Policy& policy,
-                                 const OnlineOptions& options) {
-  instance.validate();
-  const DiscreteTimeSet dts = instance.tveg->build_dts(options.dts);
-  return run_online(instance, dts, policy, options);
-}
-
-core::SchedulerResult run_online(const core::TmedbInstance& instance,
                                  const DiscreteTimeSet& dts, Policy& policy,
                                  const OnlineOptions& options) {
   const auto n = static_cast<std::size_t>(instance.tveg->node_count());

@@ -15,16 +15,11 @@ namespace tveg::online {
 struct OnlineOptions {
   /// RNG seed (gossip draws).
   std::uint64_t seed = 1;
-  DtsOptions dts;
 };
 
-/// Runs `policy` over the instance's event timeline. The policy is reset
-/// first. Broadcast-only (multicast target subsets are an offline notion).
-core::SchedulerResult run_online(const core::TmedbInstance& instance,
-                                 Policy& policy,
-                                 const OnlineOptions& options = {});
-
-/// As above over a caller-provided DTS.
+/// Runs `policy` over the event timeline of a caller-provided DTS. The policy
+/// is reset first. Broadcast-only (multicast target subsets are an offline
+/// notion).
 core::SchedulerResult run_online(const core::TmedbInstance& instance,
                                  const DiscreteTimeSet& dts, Policy& policy,
                                  const OnlineOptions& options = {});

@@ -65,23 +65,7 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  TVEG_REQUIRE(lo <= hi, "uniform_int(lo, hi) needs lo <= hi");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi-lo < 2^63 in practice
-  return lo + static_cast<std::int64_t>(uniform_int(span));
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
-
-double Rng::exponential(double lambda) {
-  TVEG_REQUIRE(lambda > 0, "exponential rate must be positive");
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
-}
 
 double Rng::pareto(double x_m, double alpha) {
   TVEG_REQUIRE(x_m > 0 && alpha > 0, "pareto needs positive scale and shape");
@@ -106,8 +90,6 @@ double Rng::normal(double mean, double stddev) {
 double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
-
-Rng Rng::split() { return Rng((*this)() ^ 0xd1b54a32d192ed03ULL); }
 
 std::size_t Rng::index(std::size_t size) {
   TVEG_REQUIRE(size > 0, "cannot pick from an empty range");

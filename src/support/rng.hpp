@@ -1,4 +1,4 @@
-// Deterministic, splittable random number generation.
+// Deterministic random number generation.
 //
 // All stochastic components of the library (trace generators, RAND baselines,
 // Monte-Carlo channel draws) draw from tveg::support::Rng so that every
@@ -13,7 +13,7 @@
 namespace tveg::support {
 
 /// xoshiro256** PRNG seeded through splitmix64; deterministic across
-/// platforms, `split()`-able for parallel streams.
+/// platforms. Parallel streams take their seeds from stream_seed().
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -33,12 +33,8 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n) for n > 0.
   std::uint64_t uniform_int(std::uint64_t n);
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
-  /// Exponential with rate lambda (> 0).
-  double exponential(double lambda);
   /// Pareto (type I) with scale x_m > 0 and shape alpha > 0: heavy-tailed
   /// inter-contact times as observed in the Haggle trace.
   double pareto(double x_m, double alpha);
@@ -47,10 +43,6 @@ class Rng {
   double normal(double mean = 0.0, double stddev = 1.0);
   /// Log-normal with the given parameters of the underlying normal.
   double lognormal(double mu, double sigma);
-
-  /// Returns an independently-seeded child stream; the parent stream
-  /// advances by one draw.
-  Rng split();
 
   /// Fisher–Yates shuffle of `v` in place.
   template <typename T>

@@ -13,26 +13,7 @@ void RunningStat::add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStat::mean() const {
@@ -46,11 +27,6 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double RunningStat::min() const {
-  TVEG_REQUIRE(n_ > 0, "min of empty accumulator");
-  return min_;
-}
 
 double RunningStat::max() const {
   TVEG_REQUIRE(n_ > 0, "max of empty accumulator");
@@ -69,14 +45,6 @@ double SampleSet::mean() const {
   double s = 0.0;
   for (double x : samples_) s += x;
   return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double s2 = 0.0;
-  for (double x : samples_) s2 += (x - m) * (x - m);
-  return std::sqrt(s2 / static_cast<double>(samples_.size() - 1));
 }
 
 double SampleSet::quantile(double q) const {

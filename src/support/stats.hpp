@@ -8,14 +8,12 @@
 
 namespace tveg::support {
 
-/// Welford streaming accumulator: mean / variance / min / max without
-/// storing samples.
+/// Welford streaming accumulator: mean / variance / max without storing
+/// samples.
 class RunningStat {
  public:
   /// Adds one observation.
   void add(double x);
-  /// Merges another accumulator (parallel reduction).
-  void merge(const RunningStat& other);
 
   std::size_t count() const { return n_; }
   bool empty() const { return n_ == 0; }
@@ -23,7 +21,6 @@ class RunningStat {
   /// Unbiased sample variance (0 when fewer than two samples).
   double variance() const;
   double stddev() const;
-  double min() const;
   double max() const;
   double sum() const { return sum_; }
 
@@ -32,7 +29,6 @@ class RunningStat {
   double mean_ = 0.0;
   double m2_ = 0.0;
   double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
@@ -45,7 +41,6 @@ class SampleSet {
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
   double mean() const;
-  double stddev() const;
   /// Linear-interpolated quantile, q in [0, 1].
   double quantile(double q) const;
   double median() const { return quantile(0.5); }

@@ -299,12 +299,6 @@ std::string json_number(double v) {
 
 }  // namespace
 
-const Check* Verdict::find(const std::string& id) const {
-  for (const Check& c : checks)
-    if (c.id == id) return &c;
-  return nullptr;
-}
-
 std::string Verdict::json() const {
   std::ostringstream os;
   os << "{\"feasible\":" << (feasible ? "true" : "false")

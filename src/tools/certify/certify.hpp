@@ -107,8 +107,6 @@ struct Verdict {
   double max_uninformed_probability = 1.0;
   std::vector<Check> checks;
 
-  /// Lookup by check id; nullptr when absent.
-  const Check* find(const std::string& id) const;
   /// Machine-readable verdict (single JSON object, no trailing newline).
   std::string json() const;
   /// Process exit status the CLI maps this verdict to: 0 ok, 1 rejected.

@@ -45,15 +45,6 @@ ContactTrace ContactTrace::window(Time lo, Time hi) const {
   return out;
 }
 
-ContactTrace ContactTrace::head_nodes(NodeId n) const {
-  TVEG_REQUIRE(n > 1 && n <= node_count_, "invalid node prefix size");
-  ContactTrace out(n, horizon_);
-  for (const Contact& c : contacts_)
-    if (c.a < n && c.b < n) out.add(c);
-  out.sort();
-  return out;
-}
-
 TimeVaryingGraph ContactTrace::to_graph(Time tau) const {
   TimeVaryingGraph g(node_count_, horizon_, tau);
   for (const Contact& c : contacts_) g.add_contact(c.a, c.b, c.start, c.end);

@@ -49,9 +49,6 @@ class ContactTrace {
   /// windowed experiment).
   ContactTrace window(Time lo, Time hi) const;
 
-  /// Restriction to nodes 0..n-1 (used by the N sweeps in Figs. 4 and 6).
-  ContactTrace head_nodes(NodeId n) const;
-
   /// Builds the TVG induced by the contacts with latency tau.
   TimeVaryingGraph to_graph(Time tau) const;
 

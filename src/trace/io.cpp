@@ -218,11 +218,6 @@ Result<ContactTrace> parse_trace_file(const std::string& path,
   return parse_trace(in, options);
 }
 
-ContactTrace read_trace(std::istream& in, NodeId nodes, Time horizon,
-                        double default_distance) {
-  return parse_trace(in, {nodes, horizon, default_distance}).take_or_throw();
-}
-
 ContactTrace read_trace_file(const std::string& path, NodeId nodes,
                              Time horizon, double default_distance) {
   return parse_trace_file(path, {nodes, horizon, default_distance})

@@ -11,8 +11,8 @@
 //  * parse_trace / parse_trace_file return Result<ContactTrace> with a
 //    structured, line-numbered Error on malformed input — the robust path
 //    the CLI and the fault pipeline use;
-//  * read_trace / read_trace_file keep the original throwing interface on
-//    top of the same parser.
+//  * read_trace_file keeps the original throwing interface on top of the
+//    same parser.
 #pragma once
 
 #include <iosfwd>
@@ -46,17 +46,13 @@ support::Result<ContactTrace> parse_trace(std::istream& in,
 support::Result<ContactTrace> parse_trace_file(const std::string& path,
                                                const ParseOptions& options = {});
 
-/// Reads a trace from a stream; throws std::invalid_argument rendering the
-/// parse error. If the header line is absent, `nodes` and `horizon` must be
-/// supplied (> 0).
-ContactTrace read_trace(std::istream& in, NodeId nodes = 0, Time horizon = 0,
-                        double default_distance = 1.0);
-
-/// Reads a trace from a file path (throwing interface).
+/// Reads a trace from a file path; throws std::invalid_argument rendering
+/// the parse error. If the header line is absent, `nodes` and `horizon` must
+/// be supplied (> 0).
 ContactTrace read_trace_file(const std::string& path, NodeId nodes = 0,
                              Time horizon = 0, double default_distance = 1.0);
 
-/// Writes a trace (with header) in the format read_trace understands.
+/// Writes a trace (with header) in the format parse_trace understands.
 void write_trace(std::ostream& out, const ContactTrace& trace);
 
 /// Writes a trace to a file path.

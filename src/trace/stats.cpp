@@ -39,16 +39,6 @@ std::vector<double> degree_timeline(const ContactTrace& trace,
   return out;
 }
 
-std::vector<std::size_t> contacts_per_node(const ContactTrace& trace) {
-  std::vector<std::size_t> out(static_cast<std::size_t>(trace.node_count()),
-                               0);
-  for (const Contact& c : trace.contacts()) {
-    ++out[static_cast<std::size_t>(c.a)];
-    ++out[static_cast<std::size_t>(c.b)];
-  }
-  return out;
-}
-
 TraceSummary summarize(const ContactTrace& trace, std::size_t degree_samples,
                        double tail_fraction) {
   TraceSummary s;

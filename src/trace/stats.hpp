@@ -39,7 +39,4 @@ std::vector<double> degree_timeline(const ContactTrace& trace,
 /// samples are available.
 double hill_tail_exponent(std::vector<double> samples, double tail_fraction);
 
-/// Number of contacts each node participates in.
-std::vector<std::size_t> contacts_per_node(const ContactTrace& trace);
-
 }  // namespace tveg::trace

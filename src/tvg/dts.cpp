@@ -135,18 +135,6 @@ std::size_t DiscreteTimeSet::total_points() const {
   return total;
 }
 
-std::size_t DiscreteTimeSet::lower_bound(NodeId i, Time t) const {
-  const auto& pts = points(i);
-  auto it = std::lower_bound(pts.begin(), pts.end(), t - tol_);
-  return static_cast<std::size_t>(it - pts.begin());
-}
-
-bool DiscreteTimeSet::contains(NodeId i, Time t) const {
-  const auto& pts = points(i);
-  const std::size_t k = lower_bound(i, t);
-  return k < pts.size() && std::abs(pts[k] - t) <= tol_;
-}
-
 std::vector<Time> DiscreteTimeSet::global_points() const {
   std::vector<Time> all;
   all.reserve(total_points());

@@ -50,13 +50,6 @@ class DiscreteTimeSet {
   bool truncated() const { return truncated_; }
   double tolerance() const { return tol_; }
 
-  /// Index of the first point of node i at or after t - tolerance
-  /// ( == points(i).size() when none).
-  std::size_t lower_bound(NodeId i, Time t) const;
-
-  /// True if t coincides (within tolerance) with one of node i's points.
-  bool contains(NodeId i, Time t) const;
-
   /// Sorted union of all nodes' points (deduplicated) — the global event
   /// timeline used by the chronological GREED/RAND sweeps.
   std::vector<Time> global_points() const;

@@ -3,16 +3,8 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
-#include "support/math.hpp"
 
 namespace tveg {
-
-IntervalSet::IntervalSet(std::vector<Interval> intervals)
-    : intervals_(std::move(intervals)) {
-  for (const auto& iv : intervals_)
-    TVEG_REQUIRE(iv.start < iv.end, "interval must have positive length");
-  normalize();
-}
 
 void IntervalSet::add(Time start, Time end) {
   TVEG_REQUIRE(start < end, "interval must have positive length");
@@ -41,16 +33,6 @@ void IntervalSet::normalize() {
   intervals_ = std::move(merged);
 }
 
-bool IntervalSet::contains(Time t) const {
-  // First interval with start > t, then check its predecessor.
-  auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), t,
-      [](Time value, const Interval& iv) { return value < iv.start; });
-  if (it == intervals_.begin()) return false;
-  --it;
-  return t < it->end;
-}
-
 bool IntervalSet::covers_closed(Time a, Time b) const {
   TVEG_REQUIRE(a <= b, "covers_closed needs a <= b");
   auto it = std::upper_bound(
@@ -61,18 +43,6 @@ bool IntervalSet::covers_closed(Time a, Time b) const {
   // The start must lie strictly inside the interval (a transmission cannot
   // begin the instant the contact ends); the end may touch the boundary.
   return a < it->end && b <= it->end;
-}
-
-Time IntervalSet::total_length() const {
-  Time sum = 0;
-  for (const auto& iv : intervals_) sum += iv.length();
-  return sum;
-}
-
-IntervalSet IntervalSet::unite(const IntervalSet& other) const {
-  std::vector<Interval> all = intervals_;
-  all.insert(all.end(), other.intervals_.begin(), other.intervals_.end());
-  return IntervalSet(std::move(all));
 }
 
 IntervalSet IntervalSet::intersect(const IntervalSet& other) const {
@@ -93,50 +63,6 @@ IntervalSet IntervalSet::intersect(const IntervalSet& other) const {
   IntervalSet result;
   result.intervals_ = std::move(out);  // already sorted and disjoint
   return result;
-}
-
-IntervalSet IntervalSet::complement(Time lo, Time hi) const {
-  TVEG_REQUIRE(lo <= hi, "complement range must be ordered");
-  IntervalSet result;
-  Time cursor = lo;
-  for (const auto& iv : intervals_) {
-    if (iv.end <= lo) continue;
-    if (iv.start >= hi) break;
-    if (iv.start > cursor) result.intervals_.push_back({cursor, iv.start});
-    cursor = std::max(cursor, iv.end);
-  }
-  if (cursor < hi) result.intervals_.push_back({cursor, hi});
-  return result;
-}
-
-IntervalSet IntervalSet::shrink_right(Time tau) const {
-  TVEG_REQUIRE(tau >= 0, "latency must be non-negative");
-  if (tau == 0) return *this;
-  IntervalSet result;
-  for (const auto& iv : intervals_) {
-    if (iv.end - tau > iv.start)
-      result.intervals_.push_back({iv.start, iv.end - tau});
-  }
-  return result;  // shrinking preserves order and disjointness
-}
-
-std::vector<Time> IntervalSet::boundary_points() const {
-  std::vector<Time> pts;
-  pts.reserve(intervals_.size() * 2);
-  for (const auto& iv : intervals_) {
-    pts.push_back(iv.start);
-    pts.push_back(iv.end);
-  }
-  return pts;
-}
-
-Time IntervalSet::next_point_in(Time t) const {
-  if (contains(t)) return t;
-  auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), t,
-      [](Time value, const Interval& iv) { return value < iv.start; });
-  if (it == intervals_.end()) return support::kInf;
-  return it->start;
 }
 
 }  // namespace tveg

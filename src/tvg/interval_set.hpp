@@ -25,10 +25,6 @@ struct Interval {
 /// edge over the time span.
 class IntervalSet {
  public:
-  IntervalSet() = default;
-  /// Builds from arbitrary (possibly overlapping, unsorted) intervals.
-  explicit IntervalSet(std::vector<Interval> intervals);
-
   /// Adds [start, end), merging with any overlapping or touching intervals.
   /// Empty or inverted inputs are rejected.
   void add(Time start, Time end);
@@ -37,35 +33,14 @@ class IntervalSet {
   std::size_t size() const { return intervals_.size(); }
   const std::vector<Interval>& intervals() const { return intervals_; }
 
-  /// ρ(e, t): membership of a single point.
-  bool contains(Time t) const;
-
   /// ρ_τ-style query: true iff the closed interval [a, b] lies inside the
   /// closure of one member interval (b may equal a member's right endpoint —
-  /// a transmission may finish exactly when the contact ends).
+  /// a transmission may finish exactly when the contact ends, but may not
+  /// start then). covers_closed(t, t) is the presence ρ(e, t).
   bool covers_closed(Time a, Time b) const;
 
-  /// Total measure of the set.
-  Time total_length() const;
-
-  /// Set union.
-  IntervalSet unite(const IntervalSet& other) const;
   /// Set intersection.
   IntervalSet intersect(const IntervalSet& other) const;
-  /// Complement within [lo, hi).
-  IntervalSet complement(Time lo, Time hi) const;
-
-  /// The set of valid transmission start times for edge-traversal latency
-  /// tau: { t : covers_closed(t, t+tau) }, i.e. each [s, e) shrinks to
-  /// [s, e - tau] (dropped if degenerate, kept as [s, e - tau) + closed right
-  /// endpoint semantics handled by covers_closed at query time).
-  IntervalSet shrink_right(Time tau) const;
-
-  /// All interval endpoints in ascending order (starts and ends interleaved).
-  std::vector<Time> boundary_points() const;
-
-  /// First member point at or after t, or +inf if none ( = t if contained).
-  Time next_point_in(Time t) const;
 
   bool operator==(const IntervalSet&) const = default;
 

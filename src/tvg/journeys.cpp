@@ -1,60 +1,13 @@
 #include "tvg/journeys.hpp"
 
-#include <algorithm>
 #include <queue>
 
 #include "support/assert.hpp"
 #include "support/math.hpp"
-#include "tvg/dts.hpp"
 
 namespace tveg {
 
 using support::kInf;
-
-HopInfo min_hop_journeys(const TimeVaryingGraph& g, NodeId src, Time t0) {
-  const auto n = static_cast<std::size_t>(g.node_count());
-  TVEG_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < n,
-               "source out of range");
-  TVEG_REQUIRE(t0 >= 0 && t0 <= g.horizon(), "start time out of range");
-
-  HopInfo info;
-  info.hops.assign(n, -1);
-  info.hops[static_cast<std::size_t>(src)] = 0;
-
-  // Bellman–Ford over hop counts with "earliest arrival within <= h hops"
-  // labels: an earlier arrival dominates (its valid start times are a
-  // superset), so one time label per (node, hop bound) suffices. hops[v]
-  // is the first round in which v's label becomes finite.
-  std::vector<Time> arr(n, kInf);       // earliest arrival within <= h hops
-  info.arrival.assign(n, kInf);         // snapshot at each node's min layer
-  arr[static_cast<std::size_t>(src)] = t0;
-  info.arrival[static_cast<std::size_t>(src)] = t0;
-  for (int hop = 1; hop <= g.node_count(); ++hop) {
-    const std::vector<Time> prev = arr;
-    bool changed = false;
-    for (std::size_t e = 0; e < g.edge_count(); ++e) {
-      const auto [a, b] = g.edge_nodes(e);
-      for (const auto& [u, v] : {std::pair{a, b}, std::pair{b, a}}) {
-        const auto ui = static_cast<std::size_t>(u);
-        const auto vi = static_cast<std::size_t>(v);
-        if (prev[ui] == kInf) continue;
-        const Time start = g.next_valid_start(u, v, prev[ui]);
-        if (start == kInf) continue;
-        const Time at = start + g.latency();
-        if (at < arr[vi]) {
-          arr[vi] = at;
-          changed = true;
-          if (info.hops[vi] == -1) info.hops[vi] = hop;
-          // Record the arrival achievable at the node's own minimum layer;
-          // deeper layers keep improving the internal label only.
-          if (info.hops[vi] == hop) info.arrival[vi] = at;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return info;
-}
 
 std::vector<Time> latest_departures(const TimeVaryingGraph& g, NodeId dst,
                                     Time deadline) {
@@ -89,60 +42,6 @@ std::vector<Time> latest_departures(const TimeVaryingGraph& g, NodeId dst,
     }
   }
   return latest;
-}
-
-FastestJourney fastest_journey(const TimeVaryingGraph& g, NodeId src,
-                               NodeId dst, Time t0, double slack) {
-  const auto n = static_cast<std::size_t>(g.node_count());
-  TVEG_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < n &&
-                   dst >= 0 && static_cast<std::size_t>(dst) < n,
-               "node out of range");
-  TVEG_REQUIRE(slack > 0, "slack must be positive");
-
-  // Candidate departures: the source's DTS points (the breakpoints of the
-  // piecewise-constant earliest-arrival function) and a point `slack`
-  // before each (the right-limit of the previous piece, where duration is
-  // minimized).
-  const DiscreteTimeSet dts = DiscreteTimeSet::build(g);
-  std::vector<Time> candidates{t0};
-  for (Time p : dts.points(src)) {
-    if (p < t0) continue;
-    candidates.push_back(p);
-    if (p - slack > t0) candidates.push_back(p - slack);
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  FastestJourney best;
-  for (Time s : candidates) {
-    if (s > g.horizon()) break;
-    const ArrivalInfo info = g.earliest_arrival(src, s);
-    const Time arr = info.arrival[static_cast<std::size_t>(dst)];
-    if (arr == kInf) continue;
-    const Journey j = g.extract_journey(info, dst);
-    // The packet "leaves" src at the first hop's departure, not at s.
-    const Time departure = j.empty() ? s : j.departure();
-    const Time duration = arr - departure;
-    if (!best.exists || duration < best.duration()) {
-      best.exists = true;
-      best.departure = departure;
-      best.arrival = arr;
-      best.journey = j;
-    }
-  }
-  return best;
-}
-
-std::vector<std::vector<char>> reachability_matrix(const TimeVaryingGraph& g,
-                                                   Time t0, Time deadline) {
-  const auto n = static_cast<std::size_t>(g.node_count());
-  std::vector<std::vector<char>> r(n, std::vector<char>(n, 0));
-  for (NodeId i = 0; i < g.node_count(); ++i) {
-    const ArrivalInfo info = g.earliest_arrival(i, t0);
-    for (NodeId j = 0; j < g.node_count(); ++j)
-      r[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          info.arrival[static_cast<std::size_t>(j)] <= deadline ? 1 : 0;
-  }
-  return r;
 }
 
 }  // namespace tveg

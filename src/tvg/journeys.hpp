@@ -1,16 +1,8 @@
-// The canonical journey metrics of temporal-graph theory (Bui-Xuan,
-// Ferreira & Jarry; surveyed by Casteigts et al., the paper's TVG
-// framework): beyond the *foremost* journeys already provided by
-// TimeVaryingGraph::earliest_arrival, this module computes
-//
-//   * min-hop journeys      — fewest transmissions (topological length),
-//   * latest departures     — how long one may wait and still deliver,
-//   * fastest journeys      — minimum in-network time (arrival − departure),
-//   * reachability matrices — who can reach whom within a window
-//                             (Whitbeck et al.'s temporal reachability).
-//
-// These are analysis tools over TVGs; the TMEDB schedulers do not depend on
-// them, but trace exploration and the examples do.
+// Latest departures, the backward counterpart of the *foremost* journeys
+// TimeVaryingGraph::earliest_arrival provides (Bui-Xuan, Ferreira & Jarry;
+// surveyed by Casteigts et al., the paper's TVG framework): how long one may
+// wait and still deliver. An analysis tool over TVGs; the TMEDB schedulers
+// do not depend on it, but the deadline-planning example does.
 #pragma once
 
 #include <vector>
@@ -19,45 +11,10 @@
 
 namespace tveg {
 
-/// Result of a min-hop search from one source.
-struct HopInfo {
-  /// hops[v]: fewest hops of any journey src→v departing >= t0
-  /// (-1 when unreachable, 0 for the source).
-  std::vector<int> hops;
-  /// arrival[v]: earliest arrival within hops[v] hops (== the foremost
-  /// arrival once the hop bound reaches v's minimum).
-  std::vector<Time> arrival;
-};
-
-/// Fewest-hops journeys from `src`, departing at or after `t0` (BFS over
-/// hop layers, tracking the earliest arrival achievable per layer).
-HopInfo min_hop_journeys(const TimeVaryingGraph& g, NodeId src, Time t0);
-
 /// latest[v]: the latest time v may still be holding the packet and yet
 /// deliver it to `dst` by `deadline` (reverse max-Dijkstra); -inf when v
 /// cannot deliver at all, `deadline` for dst itself.
 std::vector<Time> latest_departures(const TimeVaryingGraph& g, NodeId dst,
                                     Time deadline);
-
-/// A fastest journey src→dst departing at or after t0.
-struct FastestJourney {
-  bool exists = false;
-  Time departure = 0;  ///< when the packet leaves src
-  Time arrival = 0;    ///< when dst receives it
-  Time duration() const { return arrival - departure; }
-  Journey journey;
-};
-
-/// Minimizes arrival − departure over all departure times >= t0. Exact up
-/// to `slack`: candidate departures are the DTS-style event points of the
-/// source plus points `slack` before each, which bracket every breakpoint
-/// of the (piecewise-constant) arrival function.
-FastestJourney fastest_journey(const TimeVaryingGraph& g, NodeId src,
-                               NodeId dst, Time t0, double slack = 1e-6);
-
-/// R[i][j] = 1 iff a journey i→j departs at or after t0 and arrives by
-/// `deadline` (diagonal is 1). One temporal Dijkstra per row.
-std::vector<std::vector<char>> reachability_matrix(const TimeVaryingGraph& g,
-                                                   Time t0, Time deadline);
 
 }  // namespace tveg

@@ -1,7 +1,6 @@
 #include "tvg/partition.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/assert.hpp"
 
@@ -31,45 +30,6 @@ Partition::Partition(Time horizon, std::vector<Time> points, double tolerance)
   cleaned.front() = 0.0;
   cleaned.back() = horizon_;
   points_ = std::move(cleaned);
-}
-
-bool Partition::insert(Time t) {
-  if (t < -tolerance_ || t > horizon_ + tolerance_) return false;
-  t = std::clamp(t, 0.0, horizon_);
-  auto it = std::lower_bound(points_.begin(), points_.end(), t);
-  if (it != points_.end() && *it - t <= tolerance_) return false;
-  if (it != points_.begin() && t - *(it - 1) <= tolerance_) return false;
-  points_.insert(it, t);
-  return true;
-}
-
-bool Partition::contains(Time t) const {
-  auto it = std::lower_bound(points_.begin(), points_.end(), t);
-  if (it != points_.end() && *it - t <= tolerance_) return true;
-  if (it != points_.begin() && t - *(it - 1) <= tolerance_) return true;
-  return false;
-}
-
-std::size_t Partition::interval_index(Time t) const {
-  TVEG_REQUIRE(t >= -tolerance_ && t <= horizon_ + tolerance_,
-               "time outside the partition span");
-  t = std::clamp(t, 0.0, horizon_);
-  // Last point <= t (+tolerance to land exactly-on-point queries on their
-  // own interval rather than the previous one).
-  auto it = std::upper_bound(points_.begin(), points_.end(), t + tolerance_);
-  TVEG_ASSERT(it != points_.begin());
-  std::size_t idx = static_cast<std::size_t>(it - points_.begin()) - 1;
-  if (idx + 1 == points_.size()) --idx;  // t == horizon -> last interval
-  return idx;
-}
-
-Partition Partition::combine(const Partition& other) const {
-  TVEG_REQUIRE(std::fabs(horizon_ - other.horizon_) <= tolerance_,
-               "cannot combine partitions with different horizons");
-  std::vector<Time> merged = points_;
-  merged.insert(merged.end(), other.points_.begin(), other.points_.end());
-  return Partition(horizon_, std::move(merged),
-                   std::max(tolerance_, other.tolerance_));
 }
 
 }  // namespace tveg

@@ -1,5 +1,5 @@
-// Time-span partitions (paper Def. 5.1) and their combination operator
-// (Eq. 8): the machinery behind adjacent partitions and the DTS.
+// Time-span partitions (paper Def. 5.1): the machinery behind adjacent
+// partitions and the DTS.
 #pragma once
 
 #include <initializer_list>
@@ -30,28 +30,6 @@ class Partition {
   double tolerance() const { return tolerance_; }
   const std::vector<Time>& points() const { return points_; }
   std::size_t size() const { return points_.size(); }
-
-  /// Inserts one point (no-op if within tolerance of an existing point).
-  /// Returns true if the partition changed.
-  bool insert(Time t);
-
-  /// True if t coincides (within tolerance) with a partition point.
-  bool contains(Time t) const;
-
-  /// Index k such that t ∈ [t_k, t_{k+1}); requires 0 <= t <= horizon (the
-  /// final point maps to the last interval).
-  std::size_t interval_index(Time t) const;
-
-  /// Left endpoint of the interval containing t — the ET-law candidate
-  /// transmission time (Prop. 5.1).
-  Time interval_start(Time t) const { return points_[interval_index(t)]; }
-
-  /// Combination P1 ∪ P2 (Eq. 8): ordered union of the two point sets.
-  Partition combine(const Partition& other) const;
-
-  bool operator==(const Partition& other) const {
-    return horizon_ == other.horizon_ && points_ == other.points_;
-  }
 
  private:
   Time horizon_;

@@ -8,16 +8,6 @@
 
 namespace tveg {
 
-Time Journey::departure() const {
-  TVEG_REQUIRE(!hops.empty(), "departure of an empty journey");
-  return hops.front().depart;
-}
-
-Time Journey::arrival(Time tau) const {
-  TVEG_REQUIRE(!hops.empty(), "arrival of an empty journey");
-  return hops.back().depart + tau;
-}
-
 TimeVaryingGraph::TimeVaryingGraph(NodeId n, Time horizon, Time tau)
     : n_(n), horizon_(horizon), tau_(tau), incident_(static_cast<std::size_t>(n)) {
   TVEG_REQUIRE(n > 0, "graph needs at least one node");
@@ -74,12 +64,6 @@ const std::vector<std::size_t>& TimeVaryingGraph::incident_edges(NodeId i) const
   return incident_[static_cast<std::size_t>(i)];
 }
 
-bool TimeVaryingGraph::has_edge(NodeId a, NodeId b) const {
-  check_node(a);
-  check_node(b);
-  return edge_index(a, b) != npos;
-}
-
 std::size_t TimeVaryingGraph::edge_id(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
@@ -91,10 +75,6 @@ const IntervalSet& TimeVaryingGraph::presence(NodeId a, NodeId b) const {
   check_node(b);
   const std::size_t e = edge_index(a, b);
   return e == npos ? empty_set_ : edges_[e].presence;
-}
-
-bool TimeVaryingGraph::present(NodeId a, NodeId b, Time t) const {
-  return presence(a, b).contains(t);
 }
 
 bool TimeVaryingGraph::adjacent(NodeId a, NodeId b, Time t) const {
@@ -136,20 +116,6 @@ Time TimeVaryingGraph::last_valid_start(NodeId a, NodeId b,
     if (cand >= it->start) return cand;
   }
   return -support::kInf;
-}
-
-Partition TimeVaryingGraph::pair_partition(NodeId a, NodeId b,
-                                           double tolerance) const {
-  // Boundary points of the adjacency (valid-start) intervals: within each
-  // resulting interval the pair's ρ_τ adjacency is constant.
-  const IntervalSet& pres = presence(a, b);
-  std::vector<Time> pts;
-  for (const Interval& iv : pres.intervals()) {
-    if (iv.end - iv.start < tau_) continue;  // never adjacent in this contact
-    pts.push_back(iv.start);
-    pts.push_back(iv.end - tau_);
-  }
-  return Partition(horizon_, std::move(pts), tolerance);
 }
 
 Partition TimeVaryingGraph::adjacent_partition(NodeId i,
@@ -224,13 +190,6 @@ std::vector<NodeId> TimeVaryingGraph::reachable_set(NodeId src, Time t0,
     if (info.arrival[static_cast<std::size_t>(v)] <= deadline)
       out.push_back(v);
   return out;
-}
-
-double TimeVaryingGraph::average_degree(Time t) const {
-  std::size_t adjacent_pairs = 0;
-  for (const Edge& edge : edges_)
-    if (adjacent(edge.a, edge.b, t)) ++adjacent_pairs;
-  return 2.0 * static_cast<double>(adjacent_pairs) / static_cast<double>(n_);
 }
 
 }  // namespace tveg

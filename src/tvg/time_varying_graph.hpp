@@ -31,11 +31,6 @@ struct Journey {
   std::vector<JourneyHop> hops;
 
   bool empty() const { return hops.empty(); }
-  std::size_t topological_length() const { return hops.size(); }
-  /// departure(J) — start time of the first hop.
-  Time departure() const;
-  /// arrival(J) given latency tau — end time of the last hop.
-  Time arrival(Time tau) const;
 };
 
 /// Earliest-arrival information from a single temporal-Dijkstra run.
@@ -72,13 +67,10 @@ class TimeVaryingGraph {
   /// Edge ids incident to node i.
   const std::vector<std::size_t>& incident_edges(NodeId i) const;
 
-  bool has_edge(NodeId a, NodeId b) const;
   /// Dense edge id of pair (a, b), or SIZE_MAX when no edge exists.
   std::size_t edge_id(NodeId a, NodeId b) const;
   /// Presence set of pair (a, b); the empty set when no edge exists.
   const IntervalSet& presence(NodeId a, NodeId b) const;
-  /// ρ(e_{a,b}, t).
-  bool present(NodeId a, NodeId b, Time t) const;
   /// ρ_τ(e_{a,b}, t): the pair is connected throughout [t, t + τ].
   bool adjacent(NodeId a, NodeId b, Time t) const;
   /// All nodes adjacent (under ρ_τ) to i at time t.
@@ -93,11 +85,8 @@ class TimeVaryingGraph {
   /// and t* + τ <= latest_arrival, or -inf if none.
   Time last_valid_start(NodeId a, NodeId b, Time latest_arrival) const;
 
-  /// Pair partition P^ad_{i,j}: boundary points of (a, b)'s adjacency
-  /// intervals as a Partition of [0, horizon].
-  Partition pair_partition(NodeId a, NodeId b, double tolerance = 1e-9) const;
-
-  /// Adjacent partition P^ad_i = ∪_j P^ad_{i,j} (Eq. 9).
+  /// Adjacent partition P^ad_i (Eq. 9): the union over i's pairs (i, j) of
+  /// the boundary points of their adjacency (valid-start) intervals.
   Partition adjacent_partition(NodeId i, double tolerance = 1e-9) const;
 
   /// Foremost-journey search (temporal Dijkstra) from src holding the packet
@@ -110,9 +99,6 @@ class TimeVaryingGraph {
 
   /// Nodes v with arrival[v] <= deadline when the packet starts at src, t0.
   std::vector<NodeId> reachable_set(NodeId src, Time t0, Time deadline) const;
-
-  /// Average node degree at time t under ρ_τ adjacency.
-  double average_degree(Time t) const;
 
  private:
   std::size_t edge_index(NodeId a, NodeId b) const;  // npos when absent

@@ -8,12 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "support/math.hpp"
 #include "trace/contact_trace.hpp"
 
 namespace tveg::certify {
 namespace {
+
+/// The verdict's check with this id; nullptr when absent.
+const Check* find_check(const Verdict& v, const std::string& id) {
+  for (const Check& c : v.checks)
+    if (c.id == id) return &c;
+  return nullptr;
+}
 
 /// 0 -1- 1 -2- 2 -1- 3 with staggered windows plus a weak direct 0-3
 /// contact. Unit radio + step channel: decoding needs w >= d^2.
@@ -45,7 +53,7 @@ std::vector<Transmission> good_schedule() {
 
 void expect_rejected_by(const Verdict& v, const std::string& id) {
   EXPECT_FALSE(v.feasible);
-  const Check* failed = v.find(id);
+  const Check* failed = find_check(v, id);
   ASSERT_NE(failed, nullptr) << "check " << id << " missing";
   EXPECT_FALSE(failed->passed) << "expected " << id << " to fail";
 }
@@ -89,7 +97,7 @@ TEST(CertifyVerify, SkipsDtsCheckWhenDisabled) {
   opt.check_dts = false;
   const Verdict v = verify(line_trace(), s, opt);
   EXPECT_TRUE(v.feasible) << v.json();
-  EXPECT_EQ(v.find("dts-membership"), nullptr);
+  EXPECT_EQ(find_check(v, "dts-membership"), nullptr);
 }
 
 TEST(CertifyVerify, RejectsNegativeCost) {
@@ -97,8 +105,8 @@ TEST(CertifyVerify, RejectsNegativeCost) {
   s[2].cost = -1.0;
   const Verdict v = verify(line_trace(), s, unit_options());
   EXPECT_FALSE(v.feasible);
-  ASSERT_NE(v.find("costs-in-range"), nullptr);
-  EXPECT_FALSE(v.find("costs-in-range")->passed);
+  ASSERT_NE(find_check(v, "costs-in-range"), nullptr);
+  EXPECT_FALSE(find_check(v, "costs-in-range")->passed);
 }
 
 TEST(CertifyVerify, RejectsUninformedRelay) {
@@ -106,8 +114,8 @@ TEST(CertifyVerify, RejectsUninformedRelay) {
   const std::vector<Transmission> s = {{0, 0.0, 1.0}, {2, 30.0, 1.0}};
   const Verdict v = verify(line_trace(), s, unit_options());
   EXPECT_FALSE(v.feasible);
-  ASSERT_NE(v.find("relays-informed"), nullptr);
-  EXPECT_FALSE(v.find("relays-informed")->passed);
+  ASSERT_NE(find_check(v, "relays-informed"), nullptr);
+  EXPECT_FALSE(find_check(v, "relays-informed")->passed);
 }
 
 TEST(CertifyVerify, RejectsUnderpoweredTransmission) {
@@ -128,8 +136,8 @@ TEST(CertifyVerify, RejectsOutOfRangeRelayAsMalformed) {
   s.push_back({9, 30.0, 1.0});
   const Verdict v = verify(line_trace(), s, unit_options());
   EXPECT_FALSE(v.feasible);
-  ASSERT_NE(v.find("schedule-well-formed"), nullptr);
-  EXPECT_FALSE(v.find("schedule-well-formed")->passed);
+  ASSERT_NE(find_check(v, "schedule-well-formed"), nullptr);
+  EXPECT_FALSE(find_check(v, "schedule-well-formed")->passed);
   EXPECT_EQ(v.exit_code(), 1);
 }
 
@@ -138,7 +146,7 @@ TEST(CertifyVerify, RejectsWMaxViolation) {
   opt.w_max = 2.0;
   const Verdict v = verify(line_trace(), good_schedule(), opt);
   EXPECT_FALSE(v.feasible);
-  EXPECT_FALSE(v.find("costs-in-range")->passed);
+  EXPECT_FALSE(find_check(v, "costs-in-range")->passed);
 }
 
 TEST(CertifyVerify, MulticastTargetsRestrictTheInformedSet) {
@@ -177,7 +185,7 @@ TEST(CertifyVerify, TauZeroCircularChainIsRejected) {
                                               {2, 10.0, 1.0}};
   const Verdict v = verify(t, circular, opt);
   EXPECT_FALSE(v.feasible);
-  EXPECT_FALSE(v.find("relays-informed")->passed);
+  EXPECT_FALSE(find_check(v, "relays-informed")->passed);
 }
 
 TEST(CertifyVerify, PositiveTauDelaysArrivalAcrossTheDeadline) {
@@ -220,7 +228,7 @@ TEST(CertifyVerify, RayleighAllocationValidity) {
       {0, 0.0, 500.0}, {1, 10.0, 10.0}, {2, 30.0, 500.0}};
   const Verdict v = verify(line_trace(), starved, opt);
   EXPECT_FALSE(v.feasible);
-  EXPECT_FALSE(v.find("all-informed")->passed);
+  EXPECT_FALSE(find_check(v, "all-informed")->passed);
 }
 
 TEST(CertifyVerify, ThrowsOnInvalidParameters) {

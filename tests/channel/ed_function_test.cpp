@@ -111,13 +111,6 @@ TEST(EdFunction, ConstructionGuards) {
   EXPECT_THROW(RicianEdFunction(-0.1, 1.0), std::invalid_argument);
 }
 
-TEST(EdFunction, ModelNames) {
-  EXPECT_STREQ(channel_model_name(ChannelModel::kStep), "step");
-  EXPECT_STREQ(channel_model_name(ChannelModel::kRayleigh), "rayleigh");
-  EXPECT_STREQ(channel_model_name(ChannelModel::kNakagami), "nakagami");
-  EXPECT_STREQ(channel_model_name(ChannelModel::kRician), "rician");
-}
-
 // ---------------------------------------------------------------------------
 // Property 3.1 as a parameterized property suite over all implementations.
 // ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ TEST(Profile, EmptyQueriesThrow) {
   PiecewiseConstantProfile p;
   EXPECT_TRUE(p.empty());
   EXPECT_THROW(p.at(0.0), std::invalid_argument);
-  EXPECT_THROW(p.min_value(), std::invalid_argument);
 }
 
 TEST(Profile, BreakpointsExcludeFirstSample) {
@@ -43,15 +42,6 @@ TEST(Profile, BreakpointsExcludeFirstSample) {
   p.add(3.0, 2.0);
   p.add(7.0, 3.0);
   EXPECT_EQ(p.breakpoints(), (std::vector<Time>{3.0, 7.0}));
-}
-
-TEST(Profile, MinMax) {
-  PiecewiseConstantProfile p;
-  p.add(0.0, 5.0);
-  p.add(1.0, 2.0);
-  p.add(2.0, 8.0);
-  EXPECT_DOUBLE_EQ(p.min_value(), 2.0);
-  EXPECT_DOUBLE_EQ(p.max_value(), 8.0);
 }
 
 }  // namespace

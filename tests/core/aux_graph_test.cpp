@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/steiner.hpp"
+#include "oracle/graph_oracle.hpp"
 #include "support/math.hpp"
 
 namespace tveg::core {
@@ -60,12 +61,10 @@ TEST(AuxGraph, AblationWithoutPowerExpansionPaysPerReceiverInTheTree) {
   const AuxGraph without(inst, dts, {.power_expansion = false});
 
   // Exact optima isolate the modeling difference from greedy noise.
-  graph::SteinerSolver solver_with(with.digraph());
-  graph::SteinerSolver solver_without(without.digraph());
-  const auto tree_with =
-      solver_with.exact_small(with.source_vertex(), with.terminals());
-  const auto tree_without =
-      solver_without.exact_small(without.source_vertex(), without.terminals());
+  const auto tree_with = oracle::exact_steiner(
+      with.digraph(), with.source_vertex(), with.terminals());
+  const auto tree_without = oracle::exact_steiner(
+      without.digraph(), without.source_vertex(), without.terminals());
   ASSERT_TRUE(tree_with.feasible);
   ASSERT_TRUE(tree_without.feasible);
 
@@ -151,13 +150,15 @@ TEST(AuxGraph, VertexIdCodecIsArithmetic) {
   const TmedbInstance inst{&tveg, 0, 100.0};
   const auto dts = tveg.build_dts();
   const AuxGraph aux(inst, dts);
-  // u vertices are node-major and contiguous: id(u_{i,l}) follows the
-  // point-offset codec, and everything at or above first_power_vertex() is
-  // a power vertex.
+  // u vertices are node-major and contiguous: u_{i,0} follows node i-1's
+  // DTS points up to the deadline, and everything at or above
+  // first_power_vertex() is a power vertex.
   graph::VertexId expected = 0;
-  for (NodeId i = 0; i < 3; ++i)
-    for (std::size_t l = 0; l < aux.point_count(i); ++l)
-      EXPECT_EQ(aux.node_vertex(i, l), expected++);
+  for (NodeId i = 0; i < 3; ++i) {
+    EXPECT_EQ(aux.source_vertex_for(i), expected);
+    for (const Time t : dts.points(i))
+      if (t <= inst.deadline) ++expected;
+  }
   EXPECT_EQ(aux.first_power_vertex(), expected);
   EXPECT_LE(static_cast<std::size_t>(aux.first_power_vertex()) +
                 aux.live_power_vertex_count(),
@@ -204,17 +205,6 @@ TEST(AuxGraph, DigraphIsFrozenAtConstructionEnd) {
   const auto dts = tveg.build_dts();
   const AuxGraph aux(inst, dts);
   EXPECT_TRUE(aux.digraph().frozen());
-}
-
-TEST(AuxGraph, PointAccessors) {
-  const Tveg tveg = star_tveg();
-  const TmedbInstance inst{&tveg, 0, 100.0};
-  const auto dts = tveg.build_dts();
-  const AuxGraph aux(inst, dts);
-  ASSERT_GT(aux.point_count(0), 0u);
-  EXPECT_DOUBLE_EQ(aux.point_time(0, 0), 0.0);
-  EXPECT_NO_THROW(aux.node_vertex(0, 0));
-  EXPECT_THROW(aux.node_vertex(0, 10000), std::invalid_argument);
 }
 
 }  // namespace

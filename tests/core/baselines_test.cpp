@@ -31,7 +31,7 @@ TEST(Greed, ProducesFeasibleSchedule) {
   const TmedbInstance inst{&tveg, 0, 5000.0};
   BaselineOptions opt;
   opt.rule = BaselineRule::kGreedy;
-  const SchedulerResult r = run_baseline(inst, opt);
+  const SchedulerResult r = run_baseline(inst, tveg.build_dts(), opt);
   ASSERT_TRUE(r.covered_all);
   const auto report = check_feasibility(inst, r.schedule);
   EXPECT_TRUE(report.feasible) << report.reason;
@@ -43,7 +43,7 @@ TEST(Rand, ProducesFeasibleSchedule) {
   BaselineOptions opt;
   opt.rule = BaselineRule::kRandom;
   opt.seed = 17;
-  const SchedulerResult r = run_baseline(inst, opt);
+  const SchedulerResult r = run_baseline(inst, tveg.build_dts(), opt);
   ASSERT_TRUE(r.covered_all);
   EXPECT_TRUE(check_feasibility(inst, r.schedule).feasible);
 }
@@ -69,8 +69,8 @@ TEST(Greed, PicksWidestCoverageFirst) {
   t.add({3, 4, 0.0, 100.0, 1.0});
   const Tveg tveg(t, test_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 100.0};
-  const SchedulerResult r =
-      run_baseline(inst, {.rule = BaselineRule::kGreedy});
+  const SchedulerResult r = run_baseline(inst, tveg.build_dts(),
+                                         {.rule = BaselineRule::kGreedy});
   ASSERT_TRUE(r.covered_all);
   // First action: source covers all three neighbors at the cost of the
   // farthest (minimal sufficient DCS level), then 3 relays to 4.
@@ -87,8 +87,8 @@ TEST(Greed, WaitsForLaterContacts) {
   t.add({1, 2, 50.0, 80.0, 1.0});
   const Tveg tveg(t, test_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 100.0};
-  const SchedulerResult r =
-      run_baseline(inst, {.rule = BaselineRule::kGreedy});
+  const SchedulerResult r = run_baseline(inst, tveg.build_dts(),
+                                         {.rule = BaselineRule::kGreedy});
   ASSERT_TRUE(r.covered_all);
   ASSERT_EQ(r.schedule.size(), 2u);
   EXPECT_GE(r.schedule.transmissions()[1].time, 50.0);
@@ -101,8 +101,8 @@ TEST(Greed, RespectsDeadline) {
   t.add({1, 2, 50.0, 80.0, 1.0});
   const Tveg tveg(t, test_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 40.0};  // node 2's contact is too late
-  const SchedulerResult r =
-      run_baseline(inst, {.rule = BaselineRule::kGreedy});
+  const SchedulerResult r = run_baseline(inst, tveg.build_dts(),
+                                         {.rule = BaselineRule::kGreedy});
   EXPECT_FALSE(r.covered_all);
   for (const auto& tx : r.schedule.transmissions())
     EXPECT_LE(tx.time, 40.0);
@@ -136,8 +136,8 @@ TEST(Baselines, SourceOnlyInstanceTrivial) {
   t.add({0, 1, 0.0, 10.0, 1.0});
   const Tveg tveg(t, test_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 10.0};
-  const SchedulerResult r =
-      run_baseline(inst, {.rule = BaselineRule::kGreedy});
+  const SchedulerResult r = run_baseline(inst, tveg.build_dts(),
+                                         {.rule = BaselineRule::kGreedy});
   ASSERT_TRUE(r.covered_all);
   EXPECT_EQ(r.schedule.size(), 1u);
 }

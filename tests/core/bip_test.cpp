@@ -27,7 +27,7 @@ TEST(Bip, SingleHopStarUsesIncrementalLevels) {
   t.add({0, 3, 0.0, 10.0, 3.0});
   const Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 10.0};
-  const auto r = run_bip(inst);
+  const auto r = run_bip(inst, tveg.build_dts());
   ASSERT_TRUE(r.covered_all);
   // Increments 1, then 4−1, then 9−4 — one transmission at the top level.
   ASSERT_EQ(r.schedule.size(), 1u);
@@ -44,7 +44,7 @@ TEST(Bip, PrefersCheapRelayOverPowerRaise) {
   t.add({1, 2, 0.0, 10.0, 1.0});
   const Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 10.0};
-  const auto r = run_bip(inst);
+  const auto r = run_bip(inst, tveg.build_dts());
   ASSERT_TRUE(r.covered_all);
   EXPECT_DOUBLE_EQ(r.schedule.total_cost(), 2.0);  // 0→1 (1) + 1→2 (1)
   EXPECT_TRUE(check_feasibility(inst, r.schedule).feasible);
@@ -56,7 +56,7 @@ TEST(Bip, WaitsForLaterContacts) {
   t.add({1, 2, 50.0, 80.0, 1.0});
   const Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 100.0};
-  const auto r = run_bip(inst);
+  const auto r = run_bip(inst, tveg.build_dts());
   ASSERT_TRUE(r.covered_all);
   ASSERT_EQ(r.schedule.size(), 2u);
   EXPECT_GE(r.schedule.transmissions()[1].time, 50.0);
@@ -69,7 +69,7 @@ TEST(Bip, RespectsDeadline) {
   t.add({1, 2, 50.0, 80.0, 1.0});
   const Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
   const TmedbInstance inst{&tveg, 0, 40.0};
-  const auto r = run_bip(inst);
+  const auto r = run_bip(inst, tveg.build_dts());
   EXPECT_FALSE(r.covered_all);
   for (const auto& tx : r.schedule.transmissions())
     EXPECT_LE(tx.time, 40.0 + 1e-9);
@@ -87,7 +87,7 @@ TEST(Bip, FeasibleAndBoundedOnRandomInstances) {
                     {.model = channel::ChannelModel::kStep});
     const TmedbInstance inst{&tveg, 0, 175.0};
     const auto opt = brute_force_optimal(inst);
-    const auto bip = run_bip(inst);
+    const auto bip = run_bip(inst, tveg.build_dts());
     ASSERT_EQ(bip.covered_all, opt.feasible) << "seed " << seed;
     if (!opt.feasible) continue;
     EXPECT_TRUE(check_feasibility(inst, bip.schedule).feasible)
@@ -102,7 +102,7 @@ TEST(Bip, BroadcastOnly) {
   const Tveg tveg(t, unit_radio(), {.model = channel::ChannelModel::kStep});
   TmedbInstance inst{&tveg, 0, 10.0};
   inst.targets = {1};
-  EXPECT_THROW(run_bip(inst), std::invalid_argument);
+  EXPECT_THROW(run_bip(inst, tveg.build_dts()), std::invalid_argument);
 }
 
 }  // namespace

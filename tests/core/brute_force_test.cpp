@@ -111,8 +111,8 @@ TEST(BruteForce, LowerBoundsHeuristicsOnRandomInstances) {
     const TmedbInstance inst{&tveg, 0, 200.0};
     const BruteForceResult opt = brute_force_optimal(inst);
     const SchedulerResult eedcb = run_eedcb(inst);
-    const SchedulerResult greed =
-        run_baseline(inst, {.rule = BaselineRule::kGreedy});
+    const SchedulerResult greed = run_baseline(
+        inst, tveg.build_dts(), {.rule = BaselineRule::kGreedy});
     ASSERT_EQ(opt.feasible, eedcb.covered_all) << "seed " << seed;
     if (!opt.feasible) continue;
     EXPECT_LE(opt.cost, eedcb.schedule.total_cost() + 1e-9) << "seed " << seed;

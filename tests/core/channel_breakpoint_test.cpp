@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/eedcb.hpp"
+#include "oracle/dts_points.hpp"
 #include "support/math.hpp"
 
 namespace tveg::core {
@@ -42,8 +43,8 @@ TEST(ChannelBreakpoint, PresenceMergesButWeightChanges) {
 TEST(ChannelBreakpoint, BreakpointEntersDts) {
   const Tveg tveg = approaching_pair();
   const auto dts = tveg.build_dts();
-  EXPECT_TRUE(dts.contains(0, 50.0));
-  EXPECT_TRUE(dts.contains(1, 50.0));
+  EXPECT_TRUE(oracle::dts_has_point(dts, 0, 50.0));
+  EXPECT_TRUE(oracle::dts_has_point(dts, 1, 50.0));
 }
 
 TEST(ChannelBreakpoint, EedcbWaitsForTheCheapMoment) {

@@ -81,7 +81,8 @@ TEST(Dcs, RoundingScheduleDownToDcsPreservesFeasibility) {
     const Tveg tveg(trace::generate_snapshots(cfg), unit_radio(),
                     {.model = channel::ChannelModel::kStep});
     const TmedbInstance inst{&tveg, 0, 150.0};
-    const auto base = run_baseline(inst, {.rule = BaselineRule::kGreedy});
+    const auto base = run_baseline(inst, tveg.build_dts(),
+                                   {.rule = BaselineRule::kGreedy});
     if (!base.covered_all) continue;
 
     // Inflate every cost off the DCS, then round back down to the largest

@@ -151,13 +151,13 @@ TEST(FrBaseline, EndToEndFeasibleUnderFading) {
   const Tveg tveg(trace::generate_haggle_like(cfg), test_radio(),
                   {.model = channel::ChannelModel::kRayleigh});
   const TmedbInstance inst{&tveg, 0, 5000.0};
-  const FrResult greedy =
-      run_fr_baseline(inst, {.rule = BaselineRule::kGreedy});
+  const FrResult greedy = run_fr_baseline(inst, tveg.build_dts(),
+                                          {.rule = BaselineRule::kGreedy});
   ASSERT_TRUE(greedy.feasible());
   EXPECT_TRUE(check_feasibility(inst, greedy.schedule()).feasible);
 
-  const FrResult rnd =
-      run_fr_baseline(inst, {.rule = BaselineRule::kRandom, .seed = 2});
+  const FrResult rnd = run_fr_baseline(
+      inst, tveg.build_dts(), {.rule = BaselineRule::kRandom, .seed = 2});
   ASSERT_TRUE(rnd.feasible());
   EXPECT_TRUE(check_feasibility(inst, rnd.schedule()).feasible);
 }

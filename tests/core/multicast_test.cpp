@@ -104,7 +104,8 @@ TEST(Multicast, BaselinesRejectTargetSubsets) {
   const Tveg tveg = star();
   TmedbInstance inst{&tveg, 0, 10.0};
   inst.targets = {1};
-  EXPECT_THROW(run_baseline(inst, {.rule = BaselineRule::kGreedy}),
+  EXPECT_THROW(run_baseline(inst, tveg.build_dts(),
+                            {.rule = BaselineRule::kGreedy}),
                std::invalid_argument);
 }
 

@@ -8,6 +8,7 @@
 #include "core/aux_graph.hpp"
 #include "core/brute_force.hpp"
 #include "graph/steiner.hpp"
+#include "oracle/graph_oracle.hpp"
 #include "support/math.hpp"
 #include "trace/generators.hpp"
 
@@ -43,9 +44,8 @@ TEST(ReductionOptimality, ExactSteinerOnAuxEqualsBruteForce) {
     const BruteForceResult opt = brute_force_optimal(inst);
 
     const AuxGraph aux(inst, dts);
-    graph::SteinerSolver solver(aux.digraph());
-    const auto tree =
-        solver.exact_small(aux.source_vertex(), aux.terminals());
+    const auto tree = oracle::exact_steiner(aux.digraph(), aux.source_vertex(),
+                                            aux.terminals());
 
     ASSERT_EQ(opt.feasible, tree.feasible) << "seed " << seed;
     if (!opt.feasible) continue;
@@ -77,7 +77,8 @@ TEST(ReductionOptimality, HeuristicsBracketedByExact) {
     const AuxGraph aux(inst, dts);
     graph::SteinerSolver solver(aux.digraph());
 
-    const auto exact = solver.exact_small(aux.source_vertex(), aux.terminals());
+    const auto exact = oracle::exact_steiner(aux.digraph(), aux.source_vertex(),
+                                             aux.terminals());
     if (!exact.feasible) continue;
     const auto spt = solver.shortest_path_heuristic(aux.source_vertex(),
                                                     aux.terminals());

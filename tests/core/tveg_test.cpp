@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracle/dts_points.hpp"
 #include "support/math.hpp"
 
 namespace tveg::core {
@@ -31,10 +32,16 @@ trace::ContactTrace test_trace() {
 TEST(Tveg, DistanceProfileFollowsContacts) {
   Tveg tveg(test_trace(), test_radio(),
             {.model = channel::ChannelModel::kStep});
-  EXPECT_DOUBLE_EQ(tveg.distance(0, 1, 10.0), 2.0);
-  EXPECT_DOUBLE_EQ(tveg.distance(0, 1, 70.0), 4.0);
-  EXPECT_DOUBLE_EQ(tveg.distance(1, 2, 30.0), 3.0);
-  EXPECT_THROW(tveg.distance(0, 2, 30.0), std::invalid_argument);
+  // A step ED function's threshold is the radio's cost at the distance the
+  // profile holds at t.
+  const channel::RadioParams radio = test_radio();
+  const auto cost_at = [&](NodeId a, NodeId b, Time t) {
+    return tveg.ed_function(a, b, t)->min_cost_for(0.5);
+  };
+  EXPECT_DOUBLE_EQ(cost_at(0, 1, 10.0), radio.step_min_cost(2.0));
+  EXPECT_DOUBLE_EQ(cost_at(0, 1, 70.0), radio.step_min_cost(4.0));
+  EXPECT_DOUBLE_EQ(cost_at(1, 2, 30.0), radio.step_min_cost(3.0));
+  EXPECT_THROW(tveg.ed_function(0, 2, 30.0), std::invalid_argument);
 }
 
 TEST(Tveg, StepFailureProbabilityIsBinary) {
@@ -112,8 +119,8 @@ TEST(Tveg, BuildDtsIncludesChannelBreakpoints) {
   Tveg tveg(test_trace(), test_radio(),
             {.model = channel::ChannelModel::kStep});
   const auto dts = tveg.build_dts();
-  EXPECT_TRUE(dts.contains(0, 60.0));
-  EXPECT_TRUE(dts.contains(1, 60.0));
+  EXPECT_TRUE(oracle::dts_has_point(dts, 0, 60.0));
+  EXPECT_TRUE(oracle::dts_has_point(dts, 1, 60.0));
 }
 
 TEST(Tveg, NakagamiAndRicianModelsMaterialize) {

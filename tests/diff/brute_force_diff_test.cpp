@@ -14,7 +14,7 @@
 #include "core/energy_allocation.hpp"
 #include "core/fr.hpp"
 #include "core/solve_many.hpp"
-#include "graph/steiner.hpp"
+#include "oracle/graph_oracle.hpp"
 #include "support/math.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/generators.hpp"
@@ -62,9 +62,8 @@ TEST(BruteForceDiff, ExactPipelineMatchesBruteForceOnCachedParallelPath) {
 
     const DiscreteTimeSet dts = tveg.build_dts();
     const AuxGraph aux(inst, dts, {.pool = &pool()});
-    graph::SteinerSolver solver(aux.digraph());
-    solver.set_pool(&pool());
-    const auto tree = solver.exact_small(aux.source_vertex(), aux.terminals());
+    const auto tree = oracle::exact_steiner(aux.digraph(), aux.source_vertex(),
+                                            aux.terminals());
 
     ASSERT_EQ(opt.feasible, tree.feasible) << "seed " << seed;
     if (!opt.feasible) continue;

@@ -23,6 +23,8 @@
 #include "graph/digraph.hpp"
 #include "graph/steiner.hpp"
 #include "graph/terminal_sweep.hpp"
+#include "oracle/graph_oracle.hpp"
+#include "oracle/random.hpp"
 #include "sim/experiment.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -31,6 +33,9 @@
 
 namespace tveg::graph {
 namespace {
+
+using oracle::dijkstra;
+using oracle::ShortestPaths;
 
 using support::kInf;
 using Candidates = std::vector<std::pair<double, std::int32_t>>;
@@ -303,7 +308,7 @@ TEST(SteinerGreedyDiff, RandomTiedDigraphsMatchCachedOracle) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     support::Rng rng(seed);
     const auto pick = [&](VertexId lo, VertexId hi) {
-      return static_cast<VertexId>(rng.uniform_int(lo, hi));
+      return static_cast<VertexId>(oracle::uniform_in(rng, lo, hi));
     };
     const VertexId n = pick(20, 140);
     Digraph g(n);
@@ -331,7 +336,7 @@ TEST(SteinerGreedyDiff, EarlyStoppedBunchMatchesFullRun) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     support::Rng rng(seed);
     const auto pick = [&](VertexId lo, VertexId hi) {
-      return static_cast<VertexId>(rng.uniform_int(lo, hi));
+      return static_cast<VertexId>(oracle::uniform_in(rng, lo, hi));
     };
     const VertexId n = pick(5, 80);
     Digraph g(n);

@@ -15,6 +15,8 @@
 #include "core/tveg.hpp"
 #include "graph/digraph.hpp"
 #include "graph/terminal_sweep.hpp"
+#include "oracle/graph_oracle.hpp"
+#include "oracle/random.hpp"
 #include "sim/experiment.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -22,6 +24,9 @@
 
 namespace tveg::graph {
 namespace {
+
+using oracle::dijkstra;
+using oracle::ShortestPaths;
 
 /// The transposed graph: arc u → v of weight w becomes v → u, listed per
 /// vertex by (source vertex, insertion position).
@@ -124,7 +129,7 @@ TEST(TerminalSweepDiff, RandomDigraphsMatchReverseDijkstras) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     support::Rng rng(seed);
     const auto pick = [&](VertexId lo, VertexId hi) {
-      return static_cast<VertexId>(rng.uniform_int(lo, hi));
+      return static_cast<VertexId>(oracle::uniform_in(rng, lo, hi));
     };
     const VertexId n = pick(20, 140);
     Digraph g(n);

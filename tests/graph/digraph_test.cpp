@@ -2,10 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "oracle/graph_oracle.hpp"
 
 namespace tveg::graph {
 namespace {
+
+/// Vertex sequence src..dst in ws's last tree; empty if dst was not reached.
+std::vector<VertexId> path_to(const DijkstraWorkspace& ws, VertexId dst) {
+  if (std::isinf(ws.dist(dst))) return {};
+  std::vector<VertexId> path{dst};
+  while (ws.parent(path.back()) != kNoVertex)
+    path.push_back(ws.parent(path.back()));
+  std::reverse(path.begin(), path.end());
+  return path;
+}
 
 TEST(Digraph, ConstructionAndGrowth) {
   Digraph g(3);
@@ -37,20 +51,22 @@ TEST(Dijkstra, ShortestDistances) {
   g.add_arc(1, 2, 2.0);
   g.add_arc(2, 3, 1.0);
   g.add_arc(1, 3, 6.0);
-  const ShortestPaths sp = dijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(sp.dist[0], 0.0);
-  EXPECT_DOUBLE_EQ(sp.dist[1], 1.0);
-  EXPECT_DOUBLE_EQ(sp.dist[2], 3.0);
-  EXPECT_DOUBLE_EQ(sp.dist[3], 4.0);
-  EXPECT_TRUE(std::isinf(sp.dist[4]));
+  DijkstraWorkspace ws;
+  dijkstra_scratch(g, 0, ws);
+  EXPECT_DOUBLE_EQ(ws.dist(0), 0.0);
+  EXPECT_DOUBLE_EQ(ws.dist(1), 1.0);
+  EXPECT_DOUBLE_EQ(ws.dist(2), 3.0);
+  EXPECT_DOUBLE_EQ(ws.dist(3), 4.0);
+  EXPECT_TRUE(std::isinf(ws.dist(4)));
 }
 
 TEST(Dijkstra, ZeroWeightArcs) {
   Digraph g(3);
   g.add_arc(0, 1, 0.0);
   g.add_arc(1, 2, 0.0);
-  const ShortestPaths sp = dijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(sp.dist[2], 0.0);
+  DijkstraWorkspace ws;
+  dijkstra_scratch(g, 0, ws);
+  EXPECT_DOUBLE_EQ(ws.dist(2), 0.0);
 }
 
 TEST(Dijkstra, ExtractPath) {
@@ -59,23 +75,26 @@ TEST(Dijkstra, ExtractPath) {
   g.add_arc(1, 2, 1.0);
   g.add_arc(2, 3, 1.0);
   g.add_arc(0, 3, 10.0);
-  const ShortestPaths sp = dijkstra(g, 0);
-  EXPECT_EQ(extract_path(sp, 3), (std::vector<VertexId>{0, 1, 2, 3}));
-  EXPECT_EQ(extract_path(sp, 0), (std::vector<VertexId>{0}));
+  DijkstraWorkspace ws;
+  dijkstra_scratch(g, 0, ws);
+  EXPECT_EQ(path_to(ws, 3), (std::vector<VertexId>{0, 1, 2, 3}));
+  EXPECT_EQ(path_to(ws, 0), (std::vector<VertexId>{0}));
 }
 
 TEST(Dijkstra, UnreachablePathEmpty) {
   Digraph g(2);
-  const ShortestPaths sp = dijkstra(g, 0);
-  EXPECT_TRUE(extract_path(sp, 1).empty());
+  DijkstraWorkspace ws;
+  dijkstra_scratch(g, 0, ws);
+  EXPECT_TRUE(path_to(ws, 1).empty());
 }
 
 TEST(Dijkstra, ParallelArcsTakeCheapest) {
   Digraph g(2);
   g.add_arc(0, 1, 5.0);
   g.add_arc(0, 1, 2.0);
-  const ShortestPaths sp = dijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(sp.dist[1], 2.0);
+  DijkstraWorkspace ws;
+  dijkstra_scratch(g, 0, ws);
+  EXPECT_DOUBLE_EQ(ws.dist(1), 2.0);
 }
 
 TEST(Digraph, FreezeCompactsAndIsIdempotent) {
@@ -136,14 +155,17 @@ TEST(DijkstraWorkspace, ReuseIsByteIdentical) {
   g.add_arc(1, 2, 2.0);
   g.add_arc(2, 3, 1.0);
   g.add_arc(1, 3, 6.0);
-  const ShortestPaths fresh = dijkstra(g, 0);
+  const oracle::ShortestPaths fresh = oracle::dijkstra(g, 0);
   DijkstraWorkspace ws;
   for (int round = 0; round < 3; ++round) {
-    const ShortestPaths reused = dijkstra(g, 0, ws);
-    EXPECT_EQ(reused.dist, fresh.dist) << "round " << round;
-    EXPECT_EQ(reused.parent, fresh.parent) << "round " << round;
-    EXPECT_EQ(reused.settled, fresh.settled) << "round " << round;
-    EXPECT_EQ(reused.relaxations, fresh.relaxations) << "round " << round;
+    dijkstra_scratch(g, 0, ws);
+    for (VertexId v = 0; v < g.vertex_count(); ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      EXPECT_EQ(ws.dist(v), fresh.dist[i]) << "round " << round;
+      EXPECT_EQ(ws.parent(v), fresh.parent[i]) << "round " << round;
+    }
+    EXPECT_EQ(ws.settled(), fresh.settled) << "round " << round;
+    EXPECT_EQ(ws.relaxations(), fresh.relaxations) << "round " << round;
   }
 }
 
@@ -151,7 +173,7 @@ TEST(DijkstraWorkspace, ScratchResultsMatchOwnedResults) {
   Digraph g(4);
   g.add_arc(0, 1, 1.5);
   g.add_arc(1, 2, 0.5);
-  const ShortestPaths sp = dijkstra(g, 0);
+  const oracle::ShortestPaths sp = oracle::dijkstra(g, 0);
   DijkstraWorkspace ws;
   dijkstra_scratch(g, 0, ws);
   for (VertexId v = 0; v < g.vertex_count(); ++v) {

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/graph_oracle.hpp"
+
 namespace tveg::graph {
 namespace {
 
@@ -39,7 +41,7 @@ TEST(SteinerSpt, TakesPerTerminalShortestPaths) {
   SteinerSolver solver(s.g);
   const SteinerResult r = solver.shortest_path_heuristic(s.root, s.terminals);
   EXPECT_TRUE(r.feasible);
-  EXPECT_TRUE(solver.validate(r, s.root, s.terminals));
+  EXPECT_TRUE(oracle::steiner_tree_valid(s.g, r, s.root, s.terminals));
   // SPT pays each terminal's 6 — this is exactly the heuristic's blind spot.
   EXPECT_DOUBLE_EQ(r.cost, 18.0);
 }
@@ -49,7 +51,7 @@ TEST(SteinerGreedyLevel2, FindsSharedBroadcastVertex) {
   SteinerSolver solver(s.g);
   const SteinerResult r = solver.recursive_greedy(s.root, s.terminals, 2);
   EXPECT_TRUE(r.feasible);
-  EXPECT_TRUE(solver.validate(r, s.root, s.terminals));
+  EXPECT_TRUE(oracle::steiner_tree_valid(s.g, r, s.root, s.terminals));
   // Density of the shared vertex is 10/3 < 6 → the greedy must pick it.
   EXPECT_DOUBLE_EQ(r.cost, 10.0);
 }
@@ -104,7 +106,7 @@ TEST(SteinerGreedyLevel2, DensityCutKeepsLaterCheaperHub) {
   const std::vector<VertexId> terminals{2, 3};
   const SteinerResult r = solver.recursive_greedy(0, terminals, 2);
   EXPECT_TRUE(r.feasible);
-  EXPECT_TRUE(solver.validate(r, 0, terminals));
+  EXPECT_TRUE(oracle::steiner_tree_valid(g, r, 0, terminals));
   EXPECT_DOUBLE_EQ(r.cost, 12.0);  // 0→1→{2, 3}, not 8 + 8
   ASSERT_EQ(r.arcs.size(), 3u);
   EXPECT_TRUE(std::any_of(r.arcs.begin(), r.arcs.end(), [](const auto& a) {
@@ -114,19 +116,17 @@ TEST(SteinerGreedyLevel2, DensityCutKeepsLaterCheaperHub) {
 
 TEST(SteinerExact, MatchesKnownOptimum) {
   BroadcastStar s;
-  SteinerSolver solver(s.g);
-  const SteinerResult r = solver.exact_small(s.root, s.terminals);
+  const SteinerResult r = oracle::exact_steiner(s.g, s.root, s.terminals);
   EXPECT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.cost, 10.0);
   // The exact solver reconstructs a concrete, valid arborescence.
   EXPECT_FALSE(r.arcs.empty());
-  EXPECT_TRUE(solver.validate(r, s.root, s.terminals));
+  EXPECT_TRUE(oracle::steiner_tree_valid(s.g, r, s.root, s.terminals));
 }
 
 TEST(SteinerExact, ReconstructedArcsSumToCost) {
   BroadcastStar s;
-  SteinerSolver solver(s.g);
-  const SteinerResult r = solver.exact_small(s.root, s.terminals);
+  const SteinerResult r = oracle::exact_steiner(s.g, s.root, s.terminals);
   double sum = 0;
   for (const auto& arc : r.arcs) sum += arc.weight;
   EXPECT_NEAR(sum, r.cost, 1e-12);
@@ -146,11 +146,11 @@ TEST(SteinerExact, ReconstructionValidOnRandomGraphs) {
       for (VertexId v = 0; v < 14; ++v)
         if (u != v && next() % 100 < 25)
           g.add_arc(u, v, 1.0 + static_cast<double>(next() % 50) / 5.0);
-    SteinerSolver solver(g);
     const std::vector<VertexId> terminals{4, 9, 13};
-    const SteinerResult r = solver.exact_small(0, terminals);
+    const SteinerResult r = oracle::exact_steiner(g, 0, terminals);
     if (!r.feasible) continue;
-    EXPECT_TRUE(solver.validate(r, 0, terminals)) << "seed " << seed;
+    EXPECT_TRUE(oracle::steiner_tree_valid(g, r, 0, terminals))
+        << "seed " << seed;
     double sum = 0;
     for (const auto& arc : r.arcs) sum += arc.weight;
     EXPECT_NEAR(sum, r.cost, 1e-9) << "seed " << seed;
@@ -177,7 +177,7 @@ TEST(Steiner, SingleTerminalIsShortestPath) {
     EXPECT_DOUBLE_EQ(r.cost, 2.0) << "level " << level;
   }
   EXPECT_DOUBLE_EQ(solver.shortest_path_heuristic(0, {2}).cost, 2.0);
-  EXPECT_DOUBLE_EQ(solver.exact_small(0, {2}).cost, 2.0);
+  EXPECT_DOUBLE_EQ(oracle::exact_steiner(g, 0, {2}).cost, 2.0);
 }
 
 TEST(Steiner, RootAsTerminalIsFree) {
@@ -195,7 +195,7 @@ TEST(Steiner, UnreachableTerminalReportsInfeasible) {
   SteinerSolver solver(g);
   EXPECT_FALSE(solver.shortest_path_heuristic(0, {1, 2}).feasible);
   EXPECT_FALSE(solver.recursive_greedy(0, {1, 2}, 2).feasible);
-  EXPECT_FALSE(solver.exact_small(0, {1, 2}).feasible);
+  EXPECT_FALSE(oracle::exact_steiner(g, 0, {1, 2}).feasible);
 }
 
 TEST(Steiner, SharedTrunkCountedOnce) {
@@ -210,7 +210,7 @@ TEST(Steiner, SharedTrunkCountedOnce) {
     EXPECT_DOUBLE_EQ(r.cost, 12.0) << "level " << level;
   }
   EXPECT_DOUBLE_EQ(solver.shortest_path_heuristic(0, {2, 3}).cost, 12.0);
-  EXPECT_DOUBLE_EQ(solver.exact_small(0, {2, 3}).cost, 12.0);
+  EXPECT_DOUBLE_EQ(oracle::exact_steiner(g, 0, {2, 3}).cost, 12.0);
 }
 
 TEST(Steiner, ExactBeatsOrMatchesHeuristicsRandomGraphs) {
@@ -233,7 +233,7 @@ TEST(Steiner, ExactBeatsOrMatchesHeuristicsRandomGraphs) {
 
     std::vector<VertexId> terminals{3, 7, 11};
     SteinerSolver solver(g);
-    const SteinerResult exact = solver.exact_small(0, terminals);
+    const SteinerResult exact = oracle::exact_steiner(g, 0, terminals);
     const SteinerResult spt = solver.shortest_path_heuristic(0, terminals);
     const SteinerResult g1 = solver.recursive_greedy(0, terminals, 1);
     const SteinerResult g2 = solver.recursive_greedy(0, terminals, 2);
@@ -242,29 +242,27 @@ TEST(Steiner, ExactBeatsOrMatchesHeuristicsRandomGraphs) {
     EXPECT_LE(exact.cost, spt.cost + 1e-9) << "seed " << seed;
     EXPECT_LE(exact.cost, g1.cost + 1e-9) << "seed " << seed;
     EXPECT_LE(exact.cost, g2.cost + 1e-9) << "seed " << seed;
-    EXPECT_TRUE(solver.validate(spt, 0, terminals));
-    EXPECT_TRUE(solver.validate(g1, 0, terminals));
-    EXPECT_TRUE(solver.validate(g2, 0, terminals));
+    EXPECT_TRUE(oracle::steiner_tree_valid(g, spt, 0, terminals));
+    EXPECT_TRUE(oracle::steiner_tree_valid(g, g1, 0, terminals));
+    EXPECT_TRUE(oracle::steiner_tree_valid(g, g2, 0, terminals));
   }
 }
 
 TEST(Steiner, ValidateRejectsFabricatedTree) {
   Digraph g(3);
   g.add_arc(0, 1, 1.0);
-  SteinerSolver solver(g);
   SteinerResult fake;
   fake.arcs.push_back({0, 2, 1.0});  // arc not in graph
   fake.cost = 1.0;
   fake.feasible = true;
-  EXPECT_FALSE(solver.validate(fake, 0, {2}));
+  EXPECT_FALSE(oracle::steiner_tree_valid(g, fake, 0, {2}));
 }
 
 TEST(Steiner, ExactRejectsTooManyTerminals) {
   Digraph g(20);
-  SteinerSolver solver(g);
   std::vector<VertexId> terminals;
   for (VertexId v = 1; v < 19; ++v) terminals.push_back(v);
-  EXPECT_THROW(solver.exact_small(0, terminals), std::invalid_argument);
+  EXPECT_THROW(oracle::exact_steiner(g, 0, terminals), std::invalid_argument);
 }
 
 }  // namespace

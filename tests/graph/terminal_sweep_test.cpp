@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/steiner.hpp"
+#include "oracle/random.hpp"
 #include "support/cancel.hpp"
 #include "support/deadline.hpp"
 #include "support/rng.hpp"
@@ -44,12 +45,15 @@ Digraph chain(VertexId n) {
 TEST(SccOrder, ComponentsAreMutuallyReachableAndSinksFirst) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     support::Rng rng(seed);
-    const auto n = static_cast<VertexId>(rng.uniform_int(1, 40));
+    const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+      return oracle::uniform_in(rng, lo, hi);
+    };
+    const auto n = static_cast<VertexId>(pick(1, 40));
     Digraph g(n);
-    const auto arcs = rng.uniform_int(0, 3 * static_cast<std::int64_t>(n));
+    const auto arcs = pick(0, 3 * static_cast<std::int64_t>(n));
     for (std::int64_t i = 0; i < arcs; ++i)
-      g.add_arc(static_cast<VertexId>(rng.uniform_int(0, n - 1)),
-                static_cast<VertexId>(rng.uniform_int(0, n - 1)), 1.0);
+      g.add_arc(static_cast<VertexId>(pick(0, n - 1)),
+                static_cast<VertexId>(pick(0, n - 1)), 1.0);
     g.freeze();
 
     const SccOrder order = scc_order(g);

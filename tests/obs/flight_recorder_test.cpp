@@ -18,6 +18,12 @@
 namespace tveg::obs {
 namespace {
 
+std::string dump_string(const FlightRecorder& rec) {
+  std::ostringstream os;
+  rec.dump(os);
+  return os.str();
+}
+
 struct RecorderGuard {
   RecorderGuard() {
     flight_recorder().reset();
@@ -35,7 +41,7 @@ TEST(FlightRecorder, RecordsAndDumpsInOrder) {
   rec.record(FlightEventKind::kSolveStart, 0, 100);
   rec.record(FlightEventKind::kRungStart, 0, 0, "eedcb");
   rec.record(FlightEventKind::kRungDemoted, 0, 2, "eedcb");
-  const std::string dump = rec.dump_string();
+  const std::string dump = dump_string(rec);
   EXPECT_NE(dump.find("flight-recorder: 3 event(s), 3 retained"),
             std::string::npos);
   const std::size_t p0 = dump.find("#0 solve_start");
@@ -55,7 +61,7 @@ TEST(FlightRecorder, RingRetainsOnlyLastCapacityEvents) {
   for (std::size_t i = 0; i < total; ++i)
     rec.record(FlightEventKind::kNote, i);
   EXPECT_EQ(rec.recorded(), total);
-  const std::string dump = rec.dump_string();
+  const std::string dump = dump_string(rec);
   // Oldest retained is #40; #39 must be gone.
   EXPECT_EQ(dump.find("#39 "), std::string::npos);
   EXPECT_NE(dump.find("#40 "), std::string::npos);
@@ -75,7 +81,7 @@ TEST(FlightRecorder, ConcurrentWritersNeverCorruptTheDump) {
   // Dump concurrently with the writers: may skip in-flight slots but must
   // not crash or emit torn lines.
   for (int i = 0; i < 20; ++i) {
-    const std::string d = rec.dump_string();
+    const std::string d = dump_string(rec);
     EXPECT_NE(d.find("flight-recorder:"), std::string::npos);
   }
   for (auto& t : writers) t.join();
@@ -144,7 +150,7 @@ TEST(FlightRecorder, DumpTriggerIsSafeWhenDisarmed) {
   RecorderGuard guard;
   // No path armed: the trigger records its note and returns false.
   EXPECT_FALSE(flight_dump("nothing armed"));
-  EXPECT_NE(flight_recorder().dump_string().find("nothing armed"),
+  EXPECT_NE(dump_string(flight_recorder()).find("nothing armed"),
             std::string::npos);
 }
 

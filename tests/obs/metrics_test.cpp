@@ -50,24 +50,25 @@ TEST(Histogram, ExactCountSumMinMax) {
 TEST(Histogram, QuantilesAreBucketAccurate) {
   Histogram h;
   for (int i = 1; i <= 1000; ++i) h.observe(static_cast<double>(i));
+  const Histogram::Snapshot s = h.snapshot();
   // Geometric buckets give ~9% relative resolution; allow 15%.
-  EXPECT_NEAR(h.quantile(0.5), 500.0, 75.0);
-  EXPECT_NEAR(h.quantile(0.9), 900.0, 135.0);
-  EXPECT_NEAR(h.quantile(0.99), 990.0, 150.0);
+  EXPECT_NEAR(s.p50, 500.0, 75.0);
+  EXPECT_NEAR(s.p90, 900.0, 135.0);
+  EXPECT_NEAR(s.p99, 990.0, 150.0);
   // Quantiles clamp to the exact observed range.
-  EXPECT_GE(h.quantile(0.0), 1.0);
-  EXPECT_LE(h.quantile(1.0), 1000.0);
+  EXPECT_GE(s.p50, 1.0);
+  EXPECT_LE(s.p99, 1000.0);
 }
 
 TEST(Histogram, QuantilesMonotone) {
   Histogram h;
   for (int i = 0; i < 500; ++i) h.observe(std::pow(1.1, i % 40));
-  double prev = h.quantile(0.0);
-  for (double q = 0.1; q <= 1.0; q += 0.1) {
-    const double v = h.quantile(q);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_GE(s.p50, s.min);
+  EXPECT_GE(s.p90, s.p50);
+  EXPECT_GE(s.p95, s.p90);
+  EXPECT_GE(s.p99, s.p95);
+  EXPECT_GE(s.max, s.p99);
 }
 
 TEST(Histogram, NonPositiveAndNanGoToUnderflowBucket) {

@@ -11,11 +11,11 @@
 #include <string>
 
 #include "core/eedcb.hpp"
-#include "obs/json.hpp"
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "oracle/json_reader.hpp"
 #include "trace/generators.hpp"
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
@@ -60,6 +60,7 @@ TEST(Overhead, DisabledSpansCostAtMostTwoPercentOfASolve) {
   set_span_tracing(false);
   set_enabled(false);
   span_reset();
+  MetricsRegistry::global().reset();
 
   trace::SnapshotConfig cfg;
   cfg.nodes = 14;
@@ -77,11 +78,13 @@ TEST(Overhead, DisabledSpansCostAtMostTwoPercentOfASolve) {
   //    queue waits do not occur serially, so B events + drops cover it.
   set_span_tracing(true);
   run_solve(inst, dts);
-  std::uint64_t spans = span_drop_count();
-  const Json trace_doc = chrome_trace();  // keep alive: find() aliases it
-  const Json* events = trace_doc.find("traceEvents");
+  // The export syncs tveg.obs.span_drops, zeroed above, to the rings' drops.
+  const oracle::JsonValue trace_doc = oracle::read_json(chrome_trace());
+  std::uint64_t spans =
+      MetricsRegistry::global().counter(keys::kObsSpanDrops).value();
+  const oracle::JsonValue* events = trace_doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  for (const Json& e : events->items())
+  for (const oracle::JsonValue& e : events->items())
     if (e.find("ph")->as_string() == "B") ++spans;
   set_span_tracing(false);
   span_reset();
@@ -121,35 +124,6 @@ TEST(Overhead, DisabledSpansCostAtMostTwoPercentOfASolve) {
       << "disabled spans cost " << overhead_ns / 1e6 << " ms against a "
       << solve_ns / 1e6 << " ms solve (" << spans << " spans at "
       << per_span_ns << " ns)";
-}
-
-TEST(Overhead, SteadyStateSolvesAllocateNoWorkspaces) {
-  // tveg.alloc.steady_state counts Dijkstra workspace *creations* (pool
-  // misses). The first solve may populate the pool; after that warmup, a
-  // serial solve loop must run entirely off reused workspaces — the counter
-  // delta over the steady-state window is exactly zero.
-  trace::SnapshotConfig cfg;
-  cfg.nodes = 10;
-  cfg.slot = 20;
-  cfg.horizon = 200;
-  cfg.p = 0.3;
-  cfg.seed = 5;
-  const trace::ContactTrace t = trace::generate_snapshots(cfg);
-  const core::Tveg tveg(t, unit_radio(),
-                        {.model = channel::ChannelModel::kStep});
-  const core::TmedbInstance inst{&tveg, 0, 200.0};
-  const DiscreteTimeSet dts = tveg.build_dts();
-
-  run_solve(inst, dts);  // warmup: allowed to create pool entries
-
-  auto& alloc = MetricsRegistry::global().counter(keys::kAllocSteadyState);
-  const std::uint64_t before = alloc.value();
-  core::SchedulerResult last;
-  for (int rep = 0; rep < 5; ++rep) last = run_solve(inst, dts);
-  EXPECT_TRUE(last.covered_all);
-  EXPECT_EQ(alloc.value() - before, 0u)
-      << "steady-state solves created new Dijkstra workspaces instead of "
-         "reusing the pool";
 }
 
 }  // namespace

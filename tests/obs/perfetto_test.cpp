@@ -9,10 +9,16 @@
 
 #include "obs/json.hpp"
 #include "obs/span.hpp"
+#include "oracle/json_reader.hpp"
 #include "support/thread_pool.hpp"
 
 namespace tveg::obs {
 namespace {
+
+using oracle::JsonValue;
+using oracle::parse_json;
+using oracle::read_json;
+using oracle::validate_chrome_trace;
 
 struct SpanTracingGuard {
   SpanTracingGuard() {
@@ -36,13 +42,13 @@ TEST(Perfetto, PoolRunProducesValidTraceWithWorkerTracks) {
   });
   pool.shutdown();
 
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
   EXPECT_EQ(validate_chrome_trace(doc), "");
 
   std::set<double> worker_tids;
   bool queue_wait_seen = false;
   bool work_item_seen = false;
-  for (const Json& e : doc.find("traceEvents")->items()) {
+  for (const JsonValue& e : doc.find("traceEvents")->items()) {
     const std::string ph = e.find("ph")->as_string();
     const std::string name = e.find("name")->as_string();
     if (ph == "M" && name == "thread_name") {
@@ -63,8 +69,8 @@ TEST(Perfetto, PoolRunProducesValidTraceWithWorkerTracks) {
 TEST(Perfetto, SerializedTraceRoundTripsThroughParser) {
   SpanTracingGuard guard;
   { ScopedSpan span("roundtrip"); }
-  const std::string text = chrome_trace_json();
-  const Json parsed = Json::parse(text);
+  const std::string text = chrome_trace().dump();
+  const JsonValue parsed = parse_json(text);
   EXPECT_EQ(validate_chrome_trace(parsed), "");
 }
 
@@ -82,41 +88,43 @@ Json event(const char* ph, double tid, const char* name, double ts) {
   return e;
 }
 
-Json doc_of(std::initializer_list<Json> events) {
+/// The document wrapping `events`, read back as the validator sees it.
+JsonValue doc_of(std::initializer_list<Json> events) {
   Json doc = Json::object();
   Json arr = Json::array();
   for (const Json& e : events) arr.push_back(e);
   doc.set("traceEvents", std::move(arr));
-  return doc;
+  return read_json(doc);
 }
 
 TEST(Perfetto, RejectsNonObjectDocument) {
-  EXPECT_NE(validate_chrome_trace(Json::array()), "");
-  EXPECT_NE(validate_chrome_trace(Json("hello")), "");
+  EXPECT_NE(validate_chrome_trace(read_json(Json::array())), "");
+  EXPECT_NE(validate_chrome_trace(read_json(Json("hello"))), "");
 }
 
 TEST(Perfetto, RejectsMissingTraceEvents) {
-  EXPECT_NE(validate_chrome_trace(Json::object()), "");
+  EXPECT_NE(validate_chrome_trace(read_json(Json::object())), "");
 }
 
 TEST(Perfetto, RejectsUnmatchedBegin) {
-  const Json doc = doc_of({event("B", 0, "orphan", 10)});
+  const JsonValue doc = doc_of({event("B", 0, "orphan", 10)});
   EXPECT_NE(validate_chrome_trace(doc), "");
 }
 
 TEST(Perfetto, RejectsMismatchedEndName) {
-  const Json doc =
+  const JsonValue doc =
       doc_of({event("B", 0, "alpha", 10), event("E", 0, "beta", 20)});
   EXPECT_NE(validate_chrome_trace(doc), "");
 }
 
 TEST(Perfetto, RejectsEndWithoutBegin) {
-  const Json doc = doc_of({event("E", 0, "stray", 10)});
+  const JsonValue doc = doc_of({event("E", 0, "stray", 10)});
   EXPECT_NE(validate_chrome_trace(doc), "");
 }
 
 TEST(Perfetto, RejectsNonMonotoneTimestampsPerTid) {
-  const Json doc = doc_of({event("B", 0, "a", 20), event("E", 0, "a", 10)});
+  const JsonValue doc =
+      doc_of({event("B", 0, "a", 20), event("E", 0, "a", 10)});
   EXPECT_NE(validate_chrome_trace(doc), "");
 }
 
@@ -127,7 +135,7 @@ TEST(Perfetto, RejectsNegativeDuration) {
 }
 
 TEST(Perfetto, RejectsUnknownPhase) {
-  const Json doc = doc_of({event("Q", 0, "weird", 10)});
+  const JsonValue doc = doc_of({event("Q", 0, "weird", 10)});
   EXPECT_NE(validate_chrome_trace(doc), "");
 }
 
@@ -141,7 +149,7 @@ TEST(Perfetto, RejectsNonNumericTid) {
 TEST(Perfetto, AcceptsInterleavedTracksWithLocalMonotonicity) {
   // Two tids may interleave globally as long as each track's ts is
   // non-decreasing and its B/E stack matches.
-  const Json doc = doc_of({
+  const JsonValue doc = doc_of({
       event("B", 0, "a", 10),
       event("B", 1, "b", 5),
       event("E", 1, "b", 30),

@@ -6,16 +6,30 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "obs/keys.hpp"
+#include "obs/metrics.hpp"
+#include "oracle/json_reader.hpp"
 
 namespace tveg::obs {
 namespace {
 
+using oracle::JsonValue;
+using oracle::read_json;
+using oracle::validate_chrome_trace;
+
+/// Ring records dropped since the guard's registry reset; only valid after a
+/// chrome_trace() export, which syncs the tveg.obs.span_drops counter.
+std::uint64_t exported_drops() {
+  return MetricsRegistry::global().counter(keys::kObsSpanDrops).value();
+}
+
 struct SpanTracingGuard {
   SpanTracingGuard() {
+    MetricsRegistry::global().reset();
     span_reset();
     set_span_tracing(true);
   }
@@ -25,9 +39,10 @@ struct SpanTracingGuard {
   }
 };
 
-std::vector<const Json*> events_of(const Json& doc, const std::string& ph) {
-  std::vector<const Json*> out;
-  for (const Json& e : doc.find("traceEvents")->items())
+std::vector<const JsonValue*> events_of(const JsonValue& doc,
+                                        const std::string& ph) {
+  std::vector<const JsonValue*> out;
+  for (const JsonValue& e : doc.find("traceEvents")->items())
     if (e.find("ph")->as_string() == ph) out.push_back(&e);
   return out;
 }
@@ -36,7 +51,7 @@ TEST(Span, DisabledRecordsNothing) {
   span_reset();
   set_span_tracing(false);
   { ScopedSpan span("ignored"); }
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
   EXPECT_TRUE(events_of(doc, "B").empty());
   EXPECT_TRUE(events_of(doc, "X").empty());
 }
@@ -44,7 +59,7 @@ TEST(Span, DisabledRecordsNothing) {
 TEST(Span, ScopedSpanProducesMatchedPair) {
   SpanTracingGuard guard;
   { ScopedSpan span("unit_phase"); }
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
   EXPECT_EQ(validate_chrome_trace(doc), "");
   const auto begins = events_of(doc, "B");
   const auto ends = events_of(doc, "E");
@@ -63,11 +78,11 @@ TEST(Span, NestedSpansExportInStackOrder) {
     ScopedSpan outer("outer");
     { ScopedSpan inner("inner"); }
   }
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
   EXPECT_EQ(validate_chrome_trace(doc), "");
   // Emission order on one track must be B(outer) B(inner) E(inner) E(outer).
   std::vector<std::string> order;
-  for (const Json& e : doc.find("traceEvents")->items()) {
+  for (const JsonValue& e : doc.find("traceEvents")->items()) {
     const std::string ph = e.find("ph")->as_string();
     if (ph == "B" || ph == "E")
       order.push_back(ph + ":" + e.find("name")->as_string());
@@ -81,7 +96,7 @@ TEST(Span, QueueWaitBecomesCompleteEventOnQueueTrack) {
   SpanTracingGuard guard;
   const std::uint64_t t0 = now_epoch_ns();
   span_queue_wait(t0, t0 + 1500);
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
   EXPECT_EQ(validate_chrome_trace(doc), "");
   const auto xs = events_of(doc, "X");
   ASSERT_EQ(xs.size(), 1u);
@@ -94,9 +109,9 @@ TEST(Span, ResetClearsRecordsAndDrops) {
   SpanTracingGuard guard;
   { ScopedSpan span("before_reset"); }
   span_reset();
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
   EXPECT_TRUE(events_of(doc, "B").empty());
-  EXPECT_EQ(span_drop_count(), 0u);
+  EXPECT_EQ(exported_drops(), 0u);
 }
 
 TEST(Span, RingOverflowDropsOldestAndCounts) {
@@ -105,8 +120,8 @@ TEST(Span, RingOverflowDropsOldestAndCounts) {
   // dropped parent degrades nesting, never produces unmatched pairs).
   constexpr std::size_t kSpans = 1u << 16;
   for (std::size_t i = 0; i < kSpans; ++i) { ScopedSpan span("flood"); }
-  EXPECT_GT(span_drop_count(), 0u);
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
+  EXPECT_GT(exported_drops(), 0u);
   EXPECT_EQ(validate_chrome_trace(doc), "");
   EXPECT_LT(events_of(doc, "B").size(), kSpans);
 }
@@ -115,11 +130,11 @@ TEST(Span, ThreadNameShowsUpAsMetadata) {
   SpanTracingGuard guard;
   set_current_thread_name("span-test-main");
   { ScopedSpan span("named"); }
-  const Json doc = chrome_trace();
+  const JsonValue doc = read_json(chrome_trace());
   bool found = false;
-  for (const Json& e : doc.find("traceEvents")->items()) {
+  for (const JsonValue& e : doc.find("traceEvents")->items()) {
     if (e.find("ph")->as_string() != "M") continue;
-    const Json* args = e.find("args");
+    const JsonValue* args = e.find("args");
     if (args != nullptr && args->find("name") != nullptr &&
         args->find("name")->as_string() == "span-test-main")
       found = true;

@@ -10,10 +10,14 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/json_reader.hpp"
 #include "support/thread_pool.hpp"
 
 namespace tveg::obs {
 namespace {
+
+using oracle::JsonValue;
+using oracle::parse_json;
 
 /// Fresh trace state per test; restores the disabled default afterwards.
 class TraceTest : public ::testing::Test {
@@ -39,7 +43,6 @@ TEST_F(TraceTest, DisabledModeRecordsNothing) {
   {
     TraceSpan outer("outer");
     TraceSpan inner("inner");
-    EXPECT_EQ(outer.elapsed_ms(), 0.0);
   }
   EXPECT_TRUE(trace_snapshot().empty());
   EXPECT_TRUE(phase_totals().empty());
@@ -64,9 +67,14 @@ TEST_F(TraceTest, NestedSpansFormTree) {
 
 TEST_F(TraceTest, ElapsedTracksWallClock) {
   set_enabled(true);
-  TraceSpan span("sleepy");
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GE(span.elapsed_ms(), 4.0);
+  {
+    TraceSpan span("sleepy");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const auto roots = trace_snapshot();
+  const TraceNodeSnapshot* sleepy = find(roots, "sleepy");
+  ASSERT_NE(sleepy, nullptr);
+  EXPECT_GE(sleepy->wall_ms, 4.0);
 }
 
 TEST_F(TraceTest, DeclarePhasesSeedsZeroCountNodes) {
@@ -115,29 +123,29 @@ TEST_F(TraceTest, JsonSnapshotRoundTrips) {
   }
   MetricsRegistry::global().counter("tveg.tracetest.counter").add(3);
 
-  const std::string text = snapshot_json(2);
-  const Json doc = Json::parse(text);
+  const Json snap = snapshot();
+  const JsonValue doc = parse_json(snap.dump(2));
   EXPECT_EQ(doc.find("schema")->as_string(), "tveg-obs-1");
 
-  // Parse(dump(x)) == x structurally: dump again and compare.
-  EXPECT_EQ(Json::parse(doc.dump(2)).dump(), doc.dump());
+  // The indented and the compact form carry the same document.
+  EXPECT_EQ(parse_json(snap.dump()), doc);
 
-  const Json* counters = doc.find("metrics")->find("counters");
+  const JsonValue* counters = doc.find("metrics")->find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->find("tveg.tracetest.counter")->as_number(), 3.0);
 
-  const Json* totals = doc.find("phase_totals");
+  const JsonValue* totals = doc.find("phase_totals");
   ASSERT_NE(totals, nullptr);
   ASSERT_NE(totals->find("outer"), nullptr);
   ASSERT_NE(totals->find("idle_phase"), nullptr);
   EXPECT_EQ(totals->find("idle_phase")->as_number(), 0.0);
 
-  const Json* phases = doc.find("phases");
+  const JsonValue* phases = doc.find("phases");
   ASSERT_NE(phases, nullptr);
   bool found_inner = false;
-  for (const Json& phase : phases->items())
+  for (const JsonValue& phase : phases->items())
     if (phase.find("name")->as_string() == "outer")
-      for (const Json& child : phase.find("children")->items())
+      for (const JsonValue& child : phase.find("children")->items())
         if (child.find("name")->as_string() == "inner") found_inner = true;
   EXPECT_TRUE(found_inner);
 }

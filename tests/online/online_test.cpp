@@ -21,6 +21,13 @@ channel::RadioParams unit_radio() {
 }
 
 /// 0 meets 1 alone early; later 0 meets 1, 2, 3 simultaneously.
+/// One online run over the instance's own DTS.
+core::SchedulerResult run_own_dts(const core::TmedbInstance& inst,
+                                  Policy& policy,
+                                  const OnlineOptions& options = {}) {
+  return run_online(inst, inst.tveg->build_dts(), policy, options);
+}
+
 core::Tveg staged_star() {
   trace::ContactTrace t(4, 100.0);
   t.add({0, 1, 0.0, 20.0, 2.0});
@@ -35,7 +42,7 @@ TEST(Epidemic, TransmitsAtFirstOpportunity) {
   const core::Tveg tveg = staged_star();
   const core::TmedbInstance inst{&tveg, 0, 100.0};
   EpidemicPolicy policy;
-  const auto r = run_online(inst, policy);
+  const auto r = run_own_dts(inst, policy);
   ASSERT_TRUE(r.covered_all);
   // Epidemic pays twice: once for node 1 at t = 0, once for 2&3 at t = 50.
   ASSERT_EQ(r.schedule.size(), 2u);
@@ -48,7 +55,7 @@ TEST(DeadlineAware, WaitsForTheGoodOpportunity) {
   const core::Tveg tveg = staged_star();
   const core::TmedbInstance inst{&tveg, 0, 100.0};
   DeadlineAwarePolicy policy(/*min_targets=*/2, /*urgency=*/0.1);
-  const auto r = run_online(inst, policy);
+  const auto r = run_own_dts(inst, policy);
   ASSERT_TRUE(r.covered_all);
   // Skips the single-target contact at t = 0; one broadcast at t = 50
   // covers all three — beating epidemic's energy.
@@ -66,7 +73,7 @@ TEST(DeadlineAware, PanicsWhenUrgent) {
                         {.model = channel::ChannelModel::kStep});
   const core::TmedbInstance inst{&tveg, 0, 100.0};
   DeadlineAwarePolicy policy(/*min_targets=*/2, /*urgency=*/0.3);
-  const auto r = run_online(inst, policy);
+  const auto r = run_own_dts(inst, policy);
   ASSERT_TRUE(r.covered_all);  // 80 s is inside the 30% urgency window
 }
 
@@ -76,8 +83,8 @@ TEST(Gossip, SeededAndDeliversInsideUrgencyWindow) {
   // Urgency 0.5: the t = 50 opportunity falls inside the panic window, so
   // delivery is guaranteed regardless of the coin flips.
   GossipPolicy policy(0.5, /*urgency=*/0.5);
-  const auto a = run_online(inst, policy, {.seed = 3});
-  const auto b = run_online(inst, policy, {.seed = 3});
+  const auto a = run_own_dts(inst, policy, {.seed = 3});
+  const auto b = run_own_dts(inst, policy, {.seed = 3});
   EXPECT_EQ(a.schedule.transmissions(), b.schedule.transmissions());
   EXPECT_TRUE(a.covered_all);
 }
@@ -90,7 +97,7 @@ TEST(Gossip, MayMissWithoutFutureKnowledge) {
   GossipPolicy policy(0.5, /*urgency=*/0.05);
   bool missed = false;
   for (std::uint64_t seed = 1; seed <= 20 && !missed; ++seed)
-    missed = !run_online(inst, policy, {.seed = seed}).covered_all;
+    missed = !run_own_dts(inst, policy, {.seed = seed}).covered_all;
   EXPECT_TRUE(missed);
 }
 
@@ -99,8 +106,8 @@ TEST(DeadlineAware, FullUrgencyEqualsEpidemic) {
   const core::TmedbInstance inst{&tveg, 0, 100.0};
   EpidemicPolicy epidemic;
   DeadlineAwarePolicy always(/*min_targets=*/5, /*urgency=*/1.0);
-  const auto a = run_online(inst, epidemic);
-  const auto b = run_online(inst, always);
+  const auto a = run_own_dts(inst, epidemic);
+  const auto b = run_own_dts(inst, always);
   EXPECT_EQ(a.schedule.transmissions(), b.schedule.transmissions());
 }
 
@@ -120,7 +127,7 @@ TEST(Online, NeverBeatsTheOfflineOptimum) {
     // temporally reachable: coverage must match offline feasibility.
     EpidemicPolicy epidemic;
     {
-      const auto r = run_online(inst, epidemic);
+      const auto r = run_own_dts(inst, epidemic);
       ASSERT_EQ(r.covered_all, opt.feasible) << "seed " << seed;
       if (opt.feasible) {
         EXPECT_GE(r.schedule.total_cost(), opt.cost - 1e-9) << "seed " << seed;
@@ -132,7 +139,7 @@ TEST(Online, NeverBeatsTheOfflineOptimum) {
     // covers, it is feasible and no cheaper than the optimum.
     DeadlineAwarePolicy aware(2);
     {
-      const auto r = run_online(inst, aware);
+      const auto r = run_own_dts(inst, aware);
       if (opt.feasible && r.covered_all) {
         EXPECT_GE(r.schedule.total_cost(), opt.cost - 1e-9) << "seed " << seed;
         EXPECT_TRUE(core::check_feasibility(inst, r.schedule).feasible)
@@ -155,7 +162,7 @@ TEST(Online, SameTimeCascadeWorks) {
                         {.model = channel::ChannelModel::kStep});
   const core::TmedbInstance inst{&tveg, 0, 50.0};
   EpidemicPolicy policy;
-  const auto r = run_online(inst, policy);
+  const auto r = run_own_dts(inst, policy);
   ASSERT_TRUE(r.covered_all);
   EXPECT_DOUBLE_EQ(r.schedule.latest_finish(0.0), 0.0);  // all at t = 0
 }
@@ -176,7 +183,7 @@ TEST(Online, ComposesWithNlpAllocation) {
                         {.model = channel::ChannelModel::kRayleigh});
   const core::TmedbInstance inst{&tveg, 0, 5000.0};
   EpidemicPolicy policy;
-  const auto backbone = run_online(inst, policy);
+  const auto backbone = run_own_dts(inst, policy);
   ASSERT_TRUE(backbone.covered_all);
   const auto alloc = allocate_energy(inst, backbone.schedule);
   ASSERT_TRUE(alloc.feasible);
@@ -188,7 +195,7 @@ TEST(Online, RejectsMulticastInstances) {
   core::TmedbInstance inst{&tveg, 0, 100.0};
   inst.targets = {1};
   EpidemicPolicy policy;
-  EXPECT_THROW(run_online(inst, policy), std::invalid_argument);
+  EXPECT_THROW(run_own_dts(inst, policy), std::invalid_argument);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <string>
 #include <utility>
 
+#include "support/assert.hpp"
 #include "trace/contact_trace.hpp"
 
 namespace tveg::prop {
@@ -43,6 +44,16 @@ inline trace::ContactTrace cut_horizon(const trace::ContactTrace& t,
   return out;
 }
 
+/// Restriction of `t` to nodes 0..n-1 (1 < n <= node count), sorted.
+inline trace::ContactTrace head_nodes(const trace::ContactTrace& t, NodeId n) {
+  TVEG_REQUIRE(n > 1 && n <= t.node_count(), "invalid node prefix size");
+  trace::ContactTrace out(n, t.horizon());
+  for (const trace::Contact& c : t.contacts())
+    if (c.a < n && c.b < n) out.add(c);
+  out.sort();
+  return out;
+}
+
 /// Greedily minimizes `t` subject to `violates` staying true. Terminates:
 /// every accepted edit strictly shrinks (fewer contacts, fewer nodes, or a
 /// smaller horizon) and none of the moves can grow the trace.
@@ -63,7 +74,7 @@ inline trace::ContactTrace shrink_trace(trace::ContactTrace t,
     }
     // Pass 2: drop the highest-numbered node.
     while (t.node_count() > 2) {
-      trace::ContactTrace candidate = t.head_nodes(t.node_count() - 1);
+      trace::ContactTrace candidate = head_nodes(t, t.node_count() - 1);
       if (!violates(candidate)) break;
       t = std::move(candidate);
       changed = true;

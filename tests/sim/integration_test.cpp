@@ -83,7 +83,7 @@ TEST(Integration, TraceSurvivesSerializationRoundTrip) {
   const auto original = trace::generate_haggle_like(cfg);
   std::stringstream ss;
   trace::write_trace(ss, original);
-  const auto restored = trace::read_trace(ss);
+  const auto restored = trace::parse_trace(ss).take_or_throw();
 
   const Workbench bench_a(original, paper_radio());
   const Workbench bench_b(restored, paper_radio());

@@ -55,20 +55,6 @@ TEST(Rng, UniformIntCoversAllValues) {
   for (int c : counts) EXPECT_GT(c, 700);
 }
 
-TEST(Rng, UniformIntInclusiveRange) {
-  Rng rng(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = rng.uniform_int(std::int64_t{-2}, std::int64_t{2});
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformIntRejectsZero) {
   Rng rng(1);
   EXPECT_THROW(rng.uniform_int(std::uint64_t{0}), std::invalid_argument);
@@ -81,19 +67,6 @@ TEST(Rng, BernoulliMatchesProbability) {
   for (int i = 0; i < n; ++i)
     if (rng.bernoulli(0.3)) ++hits;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng rng(17);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveRate) {
-  Rng rng(1);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
 }
 
 TEST(Rng, ParetoRespectsScale) {
@@ -129,15 +102,6 @@ TEST(Rng, NormalMoments) {
 TEST(Rng, LognormalIsExpOfNormal) {
   Rng rng(31);
   for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
-}
-
-TEST(Rng, SplitStreamsAreIndependentish) {
-  Rng parent(37);
-  Rng child = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i)
-    if (parent() == child()) ++equal;
-  EXPECT_LT(equal, 2);
 }
 
 TEST(StreamSeed, DistinctAcrossSeedStreamGrid) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "prop/shrink.hpp"
+
 namespace tveg::trace {
 namespace {
 
@@ -63,7 +65,7 @@ TEST(ContactTrace, WindowValidation) {
 
 TEST(ContactTrace, HeadNodesFiltersContacts) {
   const auto t = small_trace();
-  const auto h = t.head_nodes(3);
+  const auto h = prop::head_nodes(t, 3);
   EXPECT_EQ(h.node_count(), 3);
   for (const auto& c : h.contacts()) {
     EXPECT_LT(c.a, 3);
@@ -76,9 +78,9 @@ TEST(ContactTrace, ToGraphPreservesPresence) {
   const auto t = small_trace();
   const auto g = t.to_graph(0.0);
   EXPECT_EQ(g.node_count(), 4);
-  EXPECT_TRUE(g.present(0, 1, 5.0));
-  EXPECT_FALSE(g.present(0, 1, 15.0));
-  EXPECT_TRUE(g.present(1, 2, 70.0));
+  EXPECT_TRUE(g.presence(0, 1).covers_closed(5.0, 5.0));
+  EXPECT_FALSE(g.presence(0, 1).covers_closed(15.0, 15.0));
+  EXPECT_TRUE(g.presence(1, 2).covers_closed(70.0, 70.0));
 }
 
 TEST(ContactTrace, InterContactTimes) {

@@ -15,7 +15,7 @@ TEST(TraceIo, RoundTrip) {
 
   std::stringstream ss;
   write_trace(ss, t);
-  const ContactTrace back = read_trace(ss);
+  const ContactTrace back = parse_trace(ss).take_or_throw();
 
   EXPECT_EQ(back.node_count(), 3);
   EXPECT_DOUBLE_EQ(back.horizon(), 50.0);
@@ -25,7 +25,7 @@ TEST(TraceIo, RoundTrip) {
 
 TEST(TraceIo, ReadsHeaderlessCrawdadFormat) {
   std::stringstream ss("0 1 5 10\n1 2 8 12\n");
-  const ContactTrace t = read_trace(ss, 3, 20.0, 4.0);
+  const ContactTrace t = parse_trace(ss, {3, 20.0, 4.0}).take_or_throw();
   EXPECT_EQ(t.node_count(), 3);
   EXPECT_DOUBLE_EQ(t.horizon(), 20.0);
   ASSERT_EQ(t.contact_count(), 2u);
@@ -34,28 +34,28 @@ TEST(TraceIo, ReadsHeaderlessCrawdadFormat) {
 
 TEST(TraceIo, InfersNodesAndHorizonWhenAbsent) {
   std::stringstream ss("0 1 5 10\n2 3 8 12\n");
-  const ContactTrace t = read_trace(ss);
+  const ContactTrace t = parse_trace(ss).take_or_throw();
   EXPECT_EQ(t.node_count(), 4);
   EXPECT_DOUBLE_EQ(t.horizon(), 12.0);
 }
 
 TEST(TraceIo, SkipsCommentsAndBlankLines) {
   std::stringstream ss("# a comment\n\n0 1 5 10 2.5\n");
-  const ContactTrace t = read_trace(ss);
+  const ContactTrace t = parse_trace(ss).take_or_throw();
   ASSERT_EQ(t.contact_count(), 1u);
   EXPECT_DOUBLE_EQ(t.contacts()[0].distance, 2.5);
 }
 
 TEST(TraceIo, ClipsContactsBeyondDeclaredHorizon) {
   std::stringstream ss("# tveg-trace nodes=2 horizon=8\n0 1 5 10\n");
-  const ContactTrace t = read_trace(ss);
+  const ContactTrace t = parse_trace(ss).take_or_throw();
   ASSERT_EQ(t.contact_count(), 1u);
   EXPECT_DOUBLE_EQ(t.contacts()[0].end, 8.0);
 }
 
 TEST(TraceIo, MalformedLineThrows) {
   std::stringstream ss("0 1 oops 10\n");
-  EXPECT_THROW(read_trace(ss), std::invalid_argument);
+  EXPECT_THROW(parse_trace(ss).take_or_throw(), std::invalid_argument);
 }
 
 TEST(TraceIo, MissingFileThrows) {

@@ -47,15 +47,6 @@ TEST(DegreeTimeline, MatchesPointQueries) {
   EXPECT_DOUBLE_EQ(timeline[10], 0.5);  // just before the horizon
 }
 
-TEST(ContactsPerNode, Counts) {
-  ContactTrace t(3, 10.0);
-  t.add({0, 1, 0.0, 1.0, 1.0});
-  t.add({0, 2, 2.0, 3.0, 1.0});
-  t.add({0, 1, 4.0, 5.0, 1.0});
-  const auto counts = contacts_per_node(t);
-  EXPECT_EQ(counts, (std::vector<std::size_t>{3, 2, 1}));
-}
-
 TEST(Summarize, HaggleLikeTraceLooksHaggleLike) {
   HaggleLikeConfig cfg;
   cfg.nodes = 30;

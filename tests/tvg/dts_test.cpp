@@ -7,9 +7,12 @@
 
 #include "obs/keys.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/dts_points.hpp"
 
 namespace tveg {
 namespace {
+
+using oracle::dts_has_point;
 
 TimeVaryingGraph line_graph(Time tau) {
   TimeVaryingGraph g(4, 20.0, tau);
@@ -23,10 +26,10 @@ TEST(Dts, ContainsAdjacentPartitionPoints) {
   const auto g = line_graph(1.0);
   const auto dts = DiscreteTimeSet::build(g);
   // Node 1's adjacent partition: contact boundaries minus tau.
-  EXPECT_TRUE(dts.contains(1, 0.0));
-  EXPECT_TRUE(dts.contains(1, 5.0));
-  EXPECT_TRUE(dts.contains(1, 9.0));
-  EXPECT_TRUE(dts.contains(1, 14.0));
+  EXPECT_TRUE(dts_has_point(dts, 1, 0.0));
+  EXPECT_TRUE(dts_has_point(dts, 1, 5.0));
+  EXPECT_TRUE(dts_has_point(dts, 1, 9.0));
+  EXPECT_TRUE(dts_has_point(dts, 1, 14.0));
 }
 
 TEST(Dts, TauPropagationCreatesCascadePoints) {
@@ -34,12 +37,12 @@ TEST(Dts, TauPropagationCreatesCascadePoints) {
   const auto dts = DiscreteTimeSet::build(g);
   // 0 may transmit at 0 → 1 informed at 1 → 1 may transmit at... the 1-2
   // contact opens later, but 1 is adjacent to 0 at 1 → 0 gains point 2.
-  EXPECT_TRUE(dts.contains(1, 1.0));  // 0's point 0 + τ
-  EXPECT_TRUE(dts.contains(0, 1.0));  // 1's point 0 (shared contact) + τ
+  EXPECT_TRUE(dts_has_point(dts, 1, 1.0));  // 0's point 0 + τ
+  EXPECT_TRUE(dts_has_point(dts, 0, 1.0));  // 1's point 0 (shared contact) + τ
   // 1 transmits at 5 (contact 1-2 opens) → 2 gains 6; 2-3 closed then, but
   // 2 is adjacent to 1 at 6 → 1 gains 7.
-  EXPECT_TRUE(dts.contains(2, 6.0));
-  EXPECT_TRUE(dts.contains(1, 7.0));
+  EXPECT_TRUE(dts_has_point(dts, 2, 6.0));
+  EXPECT_TRUE(dts_has_point(dts, 1, 7.0));
 }
 
 TEST(Dts, ZeroLatencySharesPointsAcrossComponent) {
@@ -47,7 +50,7 @@ TEST(Dts, ZeroLatencySharesPointsAcrossComponent) {
   const auto dts = DiscreteTimeSet::build(g);
   // With τ = 0 the contact-open point of 1-2 (t = 5) propagates to node 0
   // (adjacent to 1 at 5) without creating new offsets.
-  EXPECT_TRUE(dts.contains(0, 5.0));
+  EXPECT_TRUE(dts_has_point(dts, 0, 5.0));
 }
 
 TEST(Dts, PointsAreSortedAndBounded) {
@@ -58,7 +61,7 @@ TEST(Dts, PointsAreSortedAndBounded) {
     EXPECT_TRUE(std::is_sorted(pts.begin(), pts.end()));
     EXPECT_GE(pts.front(), 0.0);
     EXPECT_LE(pts.back(), g.horizon());
-    EXPECT_TRUE(dts.contains(v, 0.0));
+    EXPECT_TRUE(dts_has_point(dts, v, 0.0));
   }
   EXPECT_FALSE(dts.truncated());
 }
@@ -69,8 +72,9 @@ TEST(Dts, ExtraPointsAreIncludedAndPropagated) {
   options.extra_points.assign(4, {});
   options.extra_points[0] = {2.5};  // e.g. a channel breakpoint on node 0
   const auto dts = DiscreteTimeSet::build(g, options);
-  EXPECT_TRUE(dts.contains(0, 2.5));
-  EXPECT_TRUE(dts.contains(1, 3.5));  // 0 adjacent to 1 at 2.5 → 2.5 + τ
+  EXPECT_TRUE(dts_has_point(dts, 0, 2.5));
+  // 0 adjacent to 1 at 2.5 → 2.5 + τ
+  EXPECT_TRUE(dts_has_point(dts, 1, 3.5));
 }
 
 TEST(Dts, ExtraPointsArityChecked) {
@@ -141,16 +145,6 @@ TEST(Dts, GlobalPointsSortedUnique) {
   for (std::size_t i = 1; i < pts.size(); ++i)
     EXPECT_GT(pts[i] - pts[i - 1], 1e-10);
   EXPECT_LE(pts.size(), dts.total_points());
-}
-
-TEST(Dts, LowerBoundSemantics) {
-  const auto g = line_graph(1.0);
-  const auto dts = DiscreteTimeSet::build(g);
-  const auto& pts = dts.points(1);
-  const std::size_t k = dts.lower_bound(1, 5.0);
-  ASSERT_LT(k, pts.size());
-  EXPECT_NEAR(pts[k], 5.0, 1e-9);
-  EXPECT_EQ(dts.lower_bound(1, g.horizon() + 1.0), pts.size());
 }
 
 TEST(Dts, IsolatedNodeHasTrivialPartition) {

@@ -9,8 +9,8 @@
 namespace tveg {
 namespace {
 
-/// Diamond with a shortcut: 0-1-3 fast path (2 hops), 0-3 direct contact
-/// later (1 hop, but arrives last). Latency 1.
+/// Diamond: 0-1-3 fast path (2 hops), 0-3 direct contact later (1 hop, but
+/// arrives last). Latency 1.
 ///   0-1 on [0, 10), 1-3 on [2, 12), 0-3 on [20, 30), 0-2 on [0, 5).
 TimeVaryingGraph diamond() {
   TimeVaryingGraph g(4, 40.0, 1.0);
@@ -19,43 +19,6 @@ TimeVaryingGraph diamond() {
   g.add_contact(0, 3, 20.0, 30.0);
   g.add_contact(0, 2, 0.0, 5.0);
   return g;
-}
-
-TEST(MinHop, CountsAndSource) {
-  const auto g = diamond();
-  const HopInfo info = min_hop_journeys(g, 0, 0.0);
-  EXPECT_EQ(info.hops[0], 0);
-  EXPECT_EQ(info.hops[1], 1);
-  EXPECT_EQ(info.hops[2], 1);
-  EXPECT_EQ(info.hops[3], 1);  // direct (slow) contact still counts 1 hop
-  EXPECT_DOUBLE_EQ(info.arrival[0], 0.0);
-  EXPECT_DOUBLE_EQ(info.arrival[1], 1.0);
-  EXPECT_DOUBLE_EQ(info.arrival[3], 21.0);  // 1-hop arrival; 2-hop is faster
-}
-
-TEST(MinHop, HopBoundTightensArrival) {
-  const auto g = diamond();
-  // With unbounded hops (the earliest_arrival search) node 3 is reached at
-  // 3.0 via 0→1→3; the 1-hop bound forces the 20 s direct contact.
-  const ArrivalInfo foremost = g.earliest_arrival(0, 0.0);
-  EXPECT_DOUBLE_EQ(foremost.arrival[3], 3.0);
-  const HopInfo info = min_hop_journeys(g, 0, 0.0);
-  EXPECT_GT(info.arrival[3], foremost.arrival[3]);
-}
-
-TEST(MinHop, UnreachableStaysMinusOne) {
-  TimeVaryingGraph g(3, 10.0, 0.0);
-  g.add_contact(0, 1, 0.0, 10.0);
-  const HopInfo info = min_hop_journeys(g, 0, 0.0);
-  EXPECT_EQ(info.hops[2], -1);
-  EXPECT_TRUE(std::isinf(info.arrival[2]));
-}
-
-TEST(MinHop, LateStartLosesContacts) {
-  const auto g = diamond();
-  const HopInfo info = min_hop_journeys(g, 0, 15.0);
-  EXPECT_EQ(info.hops[1], -1);  // 0-1 contact is over
-  EXPECT_EQ(info.hops[3], 1);   // direct contact still ahead
 }
 
 TEST(LatestDepartures, BackwardChain) {
@@ -99,52 +62,6 @@ TEST(LatestDepartures, ConsistentWithEarliestArrival) {
     const ArrivalInfo fwd = g.earliest_arrival(v, latest[v]);
     EXPECT_LE(fwd.arrival[3], deadline + 1e-9) << "node " << v;
   }
-}
-
-TEST(FastestJourney, PrefersWaitingForDirectContact) {
-  // 0→3 via relay arrives at 3 (duration 3 from departure 0); waiting for
-  // the direct 20 s contact gives duration 1 — strictly faster in-network.
-  const auto g = diamond();
-  const FastestJourney fj = fastest_journey(g, 0, 3, 0.0);
-  ASSERT_TRUE(fj.exists);
-  EXPECT_NEAR(fj.duration(), 1.0, 1e-6);
-  EXPECT_GE(fj.departure, 20.0 - 1e-6);
-  EXPECT_EQ(fj.journey.topological_length(), 1u);
-}
-
-TEST(FastestJourney, FallsBackToOnlyRoute) {
-  TimeVaryingGraph g(3, 20.0, 1.0);
-  g.add_contact(0, 1, 0.0, 10.0);
-  g.add_contact(1, 2, 5.0, 15.0);
-  const FastestJourney fj = fastest_journey(g, 0, 2, 0.0);
-  ASSERT_TRUE(fj.exists);
-  // Depart at 5 (not 0): 0→1 at 5 arrives 6, 1→2 at 6 arrives 7.
-  EXPECT_NEAR(fj.duration(), 2.0, 1e-5);
-}
-
-TEST(FastestJourney, NoRouteNoResult) {
-  TimeVaryingGraph g(2, 10.0, 1.0);
-  const FastestJourney fj = fastest_journey(g, 0, 1, 0.0);
-  EXPECT_FALSE(fj.exists);
-}
-
-TEST(Reachability, MatrixIsTemporallyAsymmetric) {
-  TimeVaryingGraph g(3, 20.0, 1.0);
-  g.add_contact(0, 1, 0.0, 5.0);
-  g.add_contact(1, 2, 10.0, 15.0);
-  const auto r = reachability_matrix(g, 0.0, 20.0);
-  EXPECT_TRUE(r[0][2]);   // forward in time: 0→1 then 1→2
-  EXPECT_FALSE(r[2][0]);  // backwards: 1-2 fires after 0-1 closed
-  for (NodeId v = 0; v < 3; ++v) EXPECT_TRUE(r[v][v]);
-}
-
-TEST(Reachability, DeadlineShrinksTheMatrix) {
-  TimeVaryingGraph g(3, 20.0, 1.0);
-  g.add_contact(0, 1, 0.0, 5.0);
-  g.add_contact(1, 2, 10.0, 15.0);
-  const auto tight = reachability_matrix(g, 0.0, 8.0);
-  EXPECT_TRUE(tight[0][1]);
-  EXPECT_FALSE(tight[0][2]);  // second hop arrives at 11 > 8
 }
 
 }  // namespace

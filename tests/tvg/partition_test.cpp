@@ -24,70 +24,6 @@ TEST(Partition, DropsOutOfRangePoints) {
   ASSERT_EQ(p.size(), 3u);  // 0, 3, 10
 }
 
-TEST(Partition, InsertNewPoint) {
-  Partition p(10.0);
-  EXPECT_TRUE(p.insert(4.0));
-  EXPECT_FALSE(p.insert(4.0));          // duplicate
-  EXPECT_FALSE(p.insert(4.0 + 1e-12));  // within tolerance
-  EXPECT_EQ(p.size(), 3u);
-}
-
-TEST(Partition, InsertOutOfRangeIgnored) {
-  Partition p(10.0);
-  EXPECT_FALSE(p.insert(11.0));
-  EXPECT_FALSE(p.insert(-1.0));
-}
-
-TEST(Partition, Contains) {
-  Partition p(10.0, {3.0});
-  EXPECT_TRUE(p.contains(3.0));
-  EXPECT_TRUE(p.contains(3.0 + 1e-12));
-  EXPECT_TRUE(p.contains(0.0));
-  EXPECT_TRUE(p.contains(10.0));
-  EXPECT_FALSE(p.contains(5.0));
-}
-
-TEST(Partition, IntervalIndex) {
-  Partition p(10.0, {2.0, 7.0});  // points 0, 2, 7, 10
-  EXPECT_EQ(p.interval_index(0.0), 0u);
-  EXPECT_EQ(p.interval_index(1.9), 0u);
-  EXPECT_EQ(p.interval_index(2.0), 1u);
-  EXPECT_EQ(p.interval_index(6.5), 1u);
-  EXPECT_EQ(p.interval_index(7.0), 2u);
-  EXPECT_EQ(p.interval_index(10.0), 2u);  // horizon maps to last interval
-}
-
-TEST(Partition, IntervalStartIsEtLawCandidate) {
-  Partition p(10.0, {2.0, 7.0});
-  EXPECT_DOUBLE_EQ(p.interval_start(5.0), 2.0);
-  EXPECT_DOUBLE_EQ(p.interval_start(8.0), 7.0);
-}
-
-TEST(Partition, IntervalIndexRejectsOutside) {
-  Partition p(10.0);
-  EXPECT_THROW(p.interval_index(-1.0), std::invalid_argument);
-  EXPECT_THROW(p.interval_index(11.0), std::invalid_argument);
-}
-
-TEST(Partition, CombineIsOrderedUnion) {
-  Partition a(10.0, {2.0, 6.0});
-  Partition b(10.0, {4.0, 6.0});
-  const Partition c = a.combine(b);
-  ASSERT_EQ(c.size(), 5u);  // 0, 2, 4, 6, 10
-  EXPECT_DOUBLE_EQ(c.points()[2], 4.0);
-}
-
-TEST(Partition, CombineRejectsDifferentHorizons) {
-  Partition a(10.0), b(20.0);
-  EXPECT_THROW(a.combine(b), std::invalid_argument);
-}
-
-TEST(Partition, CombineCommutative) {
-  Partition a(10.0, {1.0, 5.0});
-  Partition b(10.0, {3.0});
-  EXPECT_EQ(a.combine(b), b.combine(a));
-}
-
 TEST(Partition, RejectsBadConstruction) {
   EXPECT_THROW(Partition(0.0), std::invalid_argument);
   EXPECT_THROW(Partition(-5.0), std::invalid_argument);

@@ -37,10 +37,10 @@ TEST(TimeVaryingGraph, RejectsInvalidContacts) {
 
 TEST(TimeVaryingGraph, PresenceIsSymmetric) {
   const auto g = line_graph();
-  EXPECT_TRUE(g.present(0, 1, 5.0));
-  EXPECT_TRUE(g.present(1, 0, 5.0));
-  EXPECT_FALSE(g.present(0, 1, 10.0));
-  EXPECT_FALSE(g.present(0, 2, 5.0));  // no edge
+  EXPECT_TRUE(g.presence(0, 1).covers_closed(5.0, 5.0));
+  EXPECT_TRUE(g.presence(1, 0).covers_closed(5.0, 5.0));
+  EXPECT_FALSE(g.presence(0, 1).covers_closed(10.0, 10.0));
+  EXPECT_FALSE(g.presence(0, 2).covers_closed(5.0, 5.0));  // no edge
 }
 
 TEST(TimeVaryingGraph, AdjacencyRequiresFullTraversalWindow) {
@@ -78,23 +78,11 @@ TEST(TimeVaryingGraph, EdgeIdLookup) {
   EXPECT_EQ(g.edge_id(0, 3), static_cast<std::size_t>(-1));
 }
 
-TEST(TimeVaryingGraph, PairPartitionBoundaries) {
-  const auto g = line_graph(1.0);
-  // Contact [0,10) with tau 1 → adjacency start-interval [0, 9].
-  const Partition p = g.pair_partition(0, 1);
-  EXPECT_TRUE(p.contains(0.0));
-  EXPECT_TRUE(p.contains(9.0));
-  EXPECT_TRUE(p.contains(20.0));
-}
-
 TEST(TimeVaryingGraph, AdjacentPartitionCombinesPairs) {
   const auto g = line_graph(1.0);
   const Partition p = g.adjacent_partition(1);
   // From 0-1: 0, 9. From 1-2: 5, 14. Plus span ends.
-  EXPECT_TRUE(p.contains(0.0));
-  EXPECT_TRUE(p.contains(5.0));
-  EXPECT_TRUE(p.contains(9.0));
-  EXPECT_TRUE(p.contains(14.0));
+  EXPECT_EQ(p.points(), (std::vector<Time>{0.0, 5.0, 9.0, 14.0, 20.0}));
 }
 
 TEST(TimeVaryingGraph, EarliestArrivalChainsThroughTime) {
@@ -127,13 +115,13 @@ TEST(TimeVaryingGraph, ExtractJourneyIsTimeRespecting) {
   const auto g = line_graph(1.0);
   const ArrivalInfo info = g.earliest_arrival(0, 0.0);
   const Journey j = g.extract_journey(info, 3);
-  ASSERT_EQ(j.topological_length(), 3u);
+  ASSERT_EQ(j.hops.size(), 3u);
   EXPECT_EQ(j.hops[0].from, 0);
   EXPECT_EQ(j.hops[2].to, 3);
   for (std::size_t l = 1; l < j.hops.size(); ++l)
     EXPECT_GE(j.hops[l].depart, j.hops[l - 1].depart + g.latency());
-  EXPECT_DOUBLE_EQ(j.departure(), 0.0);
-  EXPECT_DOUBLE_EQ(j.arrival(1.0), 13.0);
+  EXPECT_DOUBLE_EQ(j.hops.front().depart, 0.0);
+  EXPECT_DOUBLE_EQ(j.hops.back().depart + g.latency(), 13.0);
 }
 
 TEST(TimeVaryingGraph, ExtractJourneyOfSourceIsEmpty) {
@@ -147,14 +135,6 @@ TEST(TimeVaryingGraph, ReachableSetRespectsDeadline) {
   EXPECT_EQ(g.reachable_set(0, 0.0, 6.0), (std::vector<NodeId>{0, 1, 2}));
   EXPECT_EQ(g.reachable_set(0, 0.0, 20.0), (std::vector<NodeId>{0, 1, 2, 3}));
   EXPECT_EQ(g.reachable_set(0, 0.0, 0.5), (std::vector<NodeId>{0}));
-}
-
-TEST(TimeVaryingGraph, AverageDegree) {
-  const auto g = line_graph(1.0);
-  // At t=6: edges 0-1 and 1-2 adjacent → degree sum 4 over 4 nodes.
-  EXPECT_DOUBLE_EQ(g.average_degree(6.0), 1.0);
-  // At t=16: only 2-3 → 0.5.
-  EXPECT_DOUBLE_EQ(g.average_degree(16.0), 0.5);
 }
 
 TEST(TimeVaryingGraph, OverlappingContactsMerge) {
